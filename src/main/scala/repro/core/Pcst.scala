@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{CompactGraph, DisjointSet, EdgeCost}
+import repro.graph.{CompactGraph, DisjointSet, EdgeCost, LongKeyTable}
 
 /** Algorithm 2 of the paper: PCST-based summary explanations.
   *
@@ -62,33 +62,42 @@ object Pcst {
     // A connection dearer than the total prize pool can never be accepted,
     // so the growth radius is capped at the pool (prunes huge graphs).
     val budgetCap = prize.sum
-    val (dist, predArc, owner) = g.voronoi(terms, cost, maxDist = budgetCap)
+    val ws = g.workspace
+    g.search(ws, terms, cost, null, budgetCap)
 
-    // Cheapest boundary proposal per region pair.
-    val proposals = new java.util.HashMap[Long, Array[Double]]() // (cost, edgeId)
+    // Cheapest boundary proposal per region pair: (cost, edge id), the
+    // lower edge id on equal cost.
+    val proposals = new LongKeyTable(terms.length)
     var e = 0
     while (e < g.numEdges) {
       val u = g.edgeSrc(e); val v = g.edgeDst(e)
-      val ou = owner(u); val ov = owner(v)
+      val ou = ws.owner(u); val ov = ws.owner(v)
       if (ou >= 0 && ov >= 0 && ou != ov) {
-        val c = dist(u) + cost(e) + dist(v)
+        val c = ws.dist(u) + cost(e) + ws.dist(v)
         val key = if (ou < ov) (ou.toLong << 32) | ov else (ov.toLong << 32) | ou
-        val cur = proposals.get(key)
-        if (cur == null || c < cur(0) || (c == cur(0) && e < cur(1).toInt))
-          proposals.put(key, Array(c, e.toDouble))
+        val cur = proposals.find(key)
+        if (cur < 0 || c < proposals.doubleAt(cur) || (c == proposals.doubleAt(cur) && e < proposals.intAt(cur)))
+          proposals.put(key, c, e)
       }
       e += 1
     }
 
     // Kruskal-ordered prize-aware merging.
     val sorted = {
-      val arr = new Array[(Double, Long, Int)](proposals.size())
-      val it = proposals.entrySet().iterator(); var n = 0
-      while (it.hasNext) {
-        val en = it.next()
-        arr(n) = (en.getValue()(0), en.getKey, en.getValue()(1).toInt); n += 1
+      val arr = new Array[(Double, Long, Int)](proposals.size)
+      var s = 0; var n = 0
+      while (s < proposals.capacity) {
+        if (proposals.isOccupied(s)) {
+          arr(n) = (proposals.doubleAt(s), proposals.keyAt(s), proposals.intAt(s)); n += 1
+        }
+        s += 1
       }
-      arr.sortBy { case (c, key, _) => (c, key) }
+      // (cost, key) order, compared field by field like ST's closure edges.
+      val byCost: Ordering[(Double, Long, Int)] = (x, y) => {
+        val c = java.lang.Double.compare(x._1, y._1)
+        if (c != 0) c else java.lang.Long.compare(x._2, y._2)
+      }
+      arr.sorted(byCost)
     }
     val ds = new DisjointSet(terms.length)
     val remaining = prize.clone()
@@ -96,16 +105,10 @@ object Pcst {
     var occurrences = 0
 
     def walkUp(start: Int): Int = { // add path from `start` back to its terminal
-      var cur = start
-      var len = 0
-      while (predArc(cur) != -1) {
-        val arc = predArc(cur)
-        val pe = g.arcEdge(arc)
-        edgeSet.add(pe)
-        cur = if (g.edgeSrc(pe) == cur) g.edgeDst(pe) else g.edgeSrc(pe)
-        len += 1
-      }
-      len
+      val path = g.pathEdges(ws, start)
+      var i = path.length
+      while (i > 0) { i -= 1; edgeSet.add(path(i)) }
+      path.length
     }
 
     sorted.foreach { case (c, key, be) =>

@@ -15,7 +15,7 @@ final case class TreeResult(edgeIds: Array[Int], pathNodeOccurrences: Int)
   * Kou–Markowsky–Berman 2-approximation —
   *
   *  1. shortest paths between all terminal pairs (one early-stopped
-  *     Dijkstra per terminal),
+  *     Dijkstra per terminal but the last),
   *  2. MST of the metric closure over the terminals (Kruskal),
   *  3. MST edges expanded back to their underlying graph paths.
   *
@@ -34,31 +34,42 @@ object SteinerTree {
     val terms = terminals.distinct
     if (terms.length <= 1) return TreeResult(Array.empty, terms.length)
 
-    // Step 1-2: metric closure. One SSSP per terminal, early-stopped once
-    // the other terminals are settled.
-    val sssp = terms.map(t => g.dijkstra(t, cost, terms.filter(_ != t)))
-
-    // Step 3-7: MST of the terminal metric closure (Kruskal over all
-    // finite terminal pairs; deterministic tie-breaking by indices).
-    val pairs = scala.collection.mutable.ArrayBuffer.empty[(Double, Int, Int)]
+    // Step 1-2: metric closure. One SSSP per terminal in the calling
+    // thread's search space, early-stopped once the later terminals are
+    // settled: pair (i, j) with i < j reads only SSSP i, and a settled
+    // vertex's distance and predecessor never change, so stopping there
+    // loses nothing. The last terminal's SSSP would serve no pair.
+    val n = terms.length
+    val ws = g.workspace
+    // (closure distance, i, j, source→terminal edge ids) of pairs i < j
+    val pairs = scala.collection.mutable.ArrayBuffer.empty[(Double, Int, Int, Array[Int])]
     var i = 0
-    while (i < terms.length) {
+    while (i < n - 1) {
+      g.search(ws, Array(terms(i)), cost, terms.drop(i + 1), Double.PositiveInfinity)
       var j = i + 1
-      while (j < terms.length) {
-        val d = sssp(i).dist(terms(j))
-        if (d.isFinite) pairs += ((d, i, j))
+      while (j < n) {
+        val d = ws.dist(terms(j))
+        if (d.isFinite) pairs += ((d, i, j, g.pathEdges(ws, terms(j))))
         j += 1
       }
       i += 1
     }
-    val ds = new DisjointSet(terms.length)
+
+    // Step 3-7: MST of the terminal metric closure (Kruskal over all
+    // finite terminal pairs; deterministic tie-breaking by indices).
+    val ds = new DisjointSet(n)
     val edgeSet = new java.util.LinkedHashSet[Integer]()
     var occurrences = 0
 
     // Steps 8-14: expand each accepted closure edge into its graph path.
-    pairs.sortBy { case (d, a, b) => (d, a, b) }.foreach { case (_, a, b) =>
+    // Kruskal order (d, i, j), compared field by field: a key tuple built
+    // per comparison would allocate Θ(|T|² log |T|) objects.
+    val byClosure: Ordering[(Double, Int, Int, Array[Int])] = (x, y) => {
+      val c = java.lang.Double.compare(x._1, y._1)
+      if (c != 0) c else if (x._2 != y._2) Integer.compare(x._2, y._2) else Integer.compare(x._3, y._3)
+    }
+    pairs.sorted(byClosure).foreach { case (_, a, b, path) =>
       if (ds.union(a, b)) {
-        val path = g.pathEdges(sssp(a), terms(b))
         // Count only the nodes of newly added segments: a segment of L new
         // edges introduces at most L + 1 node mentions, and re-walking an
         // already summarized edge is not a duplicate "mention" — the tree
@@ -71,8 +82,8 @@ object SteinerTree {
     }
 
     val out = new Array[Int](edgeSet.size())
-    val it = edgeSet.iterator(); var n = 0
-    while (it.hasNext) { out(n) = it.next().intValue(); n += 1 }
+    val it = edgeSet.iterator(); var k = 0
+    while (it.hasNext) { out(k) = it.next().intValue(); k += 1 }
     TreeResult(out, occurrences)
   }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
-import repro.graph.EdgeCost
+import repro.graph.{EdgeCost, LongKeyTable}
 import repro.kg.KgIndex
 
 /** Orchestrates summary computation: scenario → terminal resolution →
@@ -41,9 +41,12 @@ object Summarizer {
 
   /** One summary computation with its performance measurements.
     *
-    * `memModelBytes` is the peak working-set model of the kernel (the
-    * paper measures process memory on their testbed): ST runs |T| SSSPs
-    * whose state is Θ(|T|·|V|); PCST's single Voronoi pass is Θ(|V|).
+    * `memModelBytes` is a working-set *model* of the kernel, not a
+    * measurement (the paper measures process memory on their testbed).
+    * It charges ST |T|·|V|·12 bytes, as if each of its |T| SSSPs kept its
+    * own state, and PCST's single Voronoi pass |V|·16 bytes. The kernels
+    * in fact reuse one Θ(|V|) search space per thread; beyond it ST keeps
+    * the Θ(|T|²) metric closure with its paths.
     */
   final case class Result(scenarioId: String, family: String, method: String, k: Int,
                           subgraph: Subgraph, timeNs: Long, memModelBytes: Long)
@@ -60,13 +63,19 @@ object Summarizer {
 
       case ST(lambda) =>
         val terms = scenario.terminals.filter(g.contains).map(g.indexOf).distinct
-        val overlay = WeightAdjust.overlay(kg, scenario.paths, scenario.anchors, lambda)
+        // The overlay copied once into a primitive table: the cost oracle
+        // runs on every arc relaxation and must not box.
+        val adjusted = WeightAdjust.overlay(kg, scenario.paths, scenario.anchors, lambda)
+        val overlay = new LongKeyTable(adjusted.size)
         var wMax = kg.maxBaseWeight
-        overlay.forEach((_, w) => if (w > wMax) wMax = w)
+        adjusted.forEach { (e, w) =>
+          overlay.put(e.longValue, w, 0)
+          if (w > wMax) wMax = w
+        }
         val wm = wMax
         val cost: EdgeCost = (e: Int) => {
-          val o = overlay.get(e)
-          val w = if (o == null) g.edgeWeight(e) else o.doubleValue()
+          val o = overlay.find(e)
+          val w = if (o < 0) g.edgeWeight(e) else overlay.doubleAt(o)
           (wm - w) + Delta
         }
         val res = SteinerTree.summarize(g, cost, terms)

@@ -67,59 +67,86 @@ final class CompactGraph(
 
   def degree(v: Int): Int = offsets(v + 1) - offsets(v)
 
-  /** Single-source Dijkstra over the undirected view with per-edge costs.
-    *
-    * @param source  source vertex index
-    * @param cost    edge cost oracle; must be > 0 for every edge
-    * @param targets optional settle-set: the search stops early once every
-    *                reachable target has been settled (pass null for a full
-    *                SSSP). Early stopping is what keeps Algorithm 1 fast —
-    *                terminals of one summary live within a few hops.
+  /** This thread's search space. Rebuilt lazily on each executor after
+    * deserialisation and never shipped: one per thread, so concurrent
+    * summaries on one broadcast graph never share search state.
     */
-  def dijkstra(source: Int, cost: EdgeCost, targets: Array[Int] = null): SsspResult = {
-    val dist    = Array.fill(numVertices)(Double.PositiveInfinity)
-    val predArc = Array.fill(numVertices)(-1)
-    val settled = new Array[Boolean](numVertices)
-    var remaining = 0
-    val isTarget = if (targets == null) null else {
-      val b = new Array[Boolean](numVertices)
-      targets.foreach { t => if (!b(t)) { b(t) = true; remaining += 1 } }
-      b
+  @transient private lazy val workspaces: ThreadLocal[SearchSpace] =
+    ThreadLocal.withInitial(() => new SearchSpace(numVertices))
+
+  /** The calling thread's reusable [[SearchSpace]]. Its results stay valid
+    * until the thread's next [[search]].
+    */
+  def workspace: SearchSpace = workspaces.get()
+
+  /** Multi-source Dijkstra over the undirected view with per-edge costs,
+    * the one shortest-path loop of the code base. Results are read from
+    * `ws` afterwards: `dist`, `predArc` and `owner`, the index *into
+    * `sources`* of the closest source.
+    *
+    * @param ws      the search space to run in; its previous results are discarded
+    * @param sources distinct source vertex indices, all at distance 0
+    * @param cost    edge cost oracle; must be > 0 for every edge
+    * @param targets settle-set: the search stops once every reachable target
+    *                has been settled (null or empty for a full search).
+    *                Early stopping is what keeps Algorithm 1 fast —
+    *                terminals of one summary live within a few hops.
+    * @param maxDist vertices farther than this are never reached
+    */
+  def search(ws: SearchSpace, sources: Array[Int], cost: EdgeCost, targets: Array[Int],
+             maxDist: Double): Unit = {
+    ws.begin()
+    var s = 0
+    while (s < sources.length) {
+      val v = sources(s)
+      require(!ws.reached(v), s"source vertex $v listed twice")
+      ws.relax(v, 0.0, -1, s)
+      s += 1
     }
-    // Lazy-deletion binary heap of (dist, vertex) pairs.
-    val pq = new java.util.PriorityQueue[Array[Double]](64,
-      (a: Array[Double], b: Array[Double]) => java.lang.Double.compare(a(0), b(0)))
-    dist(source) = 0.0
-    pq.add(Array(0.0, source.toDouble))
+    var remaining = 0
+    var t = 0
+    while (targets != null && t < targets.length) {
+      if (ws.markTarget(targets(t))) remaining += 1
+      t += 1
+    }
     var done = false
-    while (!done && !pq.isEmpty) {
-      val top = pq.poll()
-      val u = top(1).toInt
-      if (!settled(u) && top(0) <= dist(u)) {
-        settled(u) = true
-        if (isTarget != null && isTarget(u)) {
+    while (!done && !ws.heapEmpty) {
+      val d = ws.topKey
+      val u = ws.pop()
+      // Lazy deletion: only the entry carrying u's current distance is live.
+      if (!ws.settled(u) && d <= ws.dist(u)) {
+        ws.settle(u)
+        if (ws.isTarget(u)) {
           remaining -= 1
           if (remaining == 0) done = true
         }
         if (!done) {
+          val du = ws.dist(u)
+          val ou = ws.owner(u)
           var a = offsets(u)
           val end = offsets(u + 1)
           while (a < end) {
             val v = arcTarget(a)
-            if (!settled(v)) {
-              val e = arcEdge(a)
-              val nd = dist(u) + cost(e)
-              if (nd < dist(v)) {
-                dist(v) = nd
-                predArc(v) = a
-                pq.add(Array(nd, v.toDouble))
-              }
+            if (!ws.settled(v)) {
+              val nd = du + cost(arcEdge(a))
+              if (nd < ws.dist(v) && nd <= maxDist) ws.relax(v, nd, a, ou)
             }
             a += 1
           }
         }
       }
     }
+  }
+
+  /** Single-source Dijkstra: [[search]] from `source`, copied out of the
+    * calling thread's workspace.
+    *
+    * @param targets optional settle-set (pass null for a full SSSP)
+    */
+  def dijkstra(source: Int, cost: EdgeCost, targets: Array[Int] = null): SsspResult = {
+    val ws = workspace
+    search(ws, Array(source), cost, targets, Double.PositiveInfinity)
+    val (dist, predArc, _) = copyOut(ws)
     SsspResult(source, dist, predArc)
   }
 
@@ -127,20 +154,39 @@ final class CompactGraph(
     * the edge ids of the shortest path in source→v order.
     */
   def pathEdges(res: SsspResult, v: Int): List[Int] = {
-    var cur = v
-    var acc: List[Int] = Nil
-    while (res.predArc(cur) != -1) {
-      val arc = res.predArc(cur)
-      val e   = arcEdge(arc)
-      acc = e :: acc // prepending while walking backwards yields source→v order
-      // The arc relaxed `cur`, so the other endpoint of edge e is the parent.
-      cur = if (edgeSrc(e) == cur) edgeDst(e) else edgeSrc(e)
-    }
-    require(cur == res.source || acc.isEmpty, "predecessor walk did not reach the source")
-    acc
+    val (path, root) = walkBack(res.predArc(_), v)
+    require(root == res.source || path.isEmpty, "predecessor walk did not reach the source")
+    path.toList
   }
 
-  /** Multi-source Dijkstra: Voronoi partition around `sources`.
+  /** Edge ids of the shortest path from the last [[search]]'s sources to
+    * `v`, in source→v order (empty for a source or an unreached vertex).
+    */
+  def pathEdges(ws: SearchSpace, v: Int): Array[Int] = walkBack(ws.predArc, v)._1
+
+  /** Follows `predArc` back from `v`: the edge ids in source→v order, and
+    * the vertex the walk ends at.
+    */
+  private def walkBack(predArc: Int => Int, v: Int): (Array[Int], Int) = {
+    var len = 0
+    var cur = v
+    while (predArc(cur) != -1) { cur = otherEnd(arcEdge(predArc(cur)), cur); len += 1 }
+    val root = cur
+    val path = new Array[Int](len)
+    cur = v
+    while (len > 0) {
+      len -= 1
+      path(len) = arcEdge(predArc(cur))
+      cur = otherEnd(path(len), cur)
+    }
+    (path, root)
+  }
+
+  // The arc into `v` carries edge e, so its other endpoint is the parent.
+  private def otherEnd(e: Int, v: Int): Int = if (edgeSrc(e) == v) edgeDst(e) else edgeSrc(e)
+
+  /** Multi-source Dijkstra: Voronoi partition around `sources`, copied out
+    * of the calling thread's workspace.
     *
     * Returns (dist, predArc, owner) where `owner(v)` is the index *into
     * `sources`* of the closest source (−1 if unreachable). This is the
@@ -149,41 +195,19 @@ final class CompactGraph(
     */
   def voronoi(sources: Array[Int], cost: EdgeCost,
               maxDist: Double = Double.PositiveInfinity): (Array[Double], Array[Int], Array[Int]) = {
-    val dist    = Array.fill(numVertices)(Double.PositiveInfinity)
-    val predArc = Array.fill(numVertices)(-1)
-    val owner   = Array.fill(numVertices)(-1)
-    val settled = new Array[Boolean](numVertices)
-    val pq = new java.util.PriorityQueue[Array[Double]](64,
-      (a: Array[Double], b: Array[Double]) => java.lang.Double.compare(a(0), b(0)))
-    var s = 0
-    while (s < sources.length) {
-      val v = sources(s)
-      dist(v) = 0.0; owner(v) = s
-      pq.add(Array(0.0, v.toDouble, s.toDouble))
-      s += 1
-    }
-    while (!pq.isEmpty) {
-      val top = pq.poll()
-      val u = top(1).toInt
-      if (!settled(u) && top(0) <= dist(u)) {
-        settled(u) = true
-        owner(u) = top(2).toInt
-        var a = offsets(u)
-        val end = offsets(u + 1)
-        while (a < end) {
-          val v = arcTarget(a)
-          if (!settled(v)) {
-            val e = arcEdge(a)
-            val nd = dist(u) + cost(e)
-            if (nd < dist(v) && nd <= maxDist) {
-              dist(v) = nd
-              predArc(v) = a
-              pq.add(Array(nd, v.toDouble, owner(u).toDouble))
-            }
-          }
-          a += 1
-        }
-      }
+    val ws = workspace
+    search(ws, sources, cost, null, maxDist)
+    copyOut(ws)
+  }
+
+  private def copyOut(ws: SearchSpace): (Array[Double], Array[Int], Array[Int]) = {
+    val dist    = new Array[Double](numVertices)
+    val predArc = new Array[Int](numVertices)
+    val owner   = new Array[Int](numVertices)
+    var v = 0
+    while (v < numVertices) {
+      dist(v) = ws.dist(v); predArc(v) = ws.predArc(v); owner(v) = ws.owner(v)
+      v += 1
     }
     (dist, predArc, owner)
   }
@@ -205,6 +229,128 @@ final class CompactGraph(
       }
     }
     dist
+  }
+}
+
+/** Reusable state of [[CompactGraph.search]]: distances, predecessor arcs,
+  * owners, settled and target flags, and the heap, sized once for the
+  * graph so that a search allocates nothing.
+  *
+  * Each per-vertex slot is valid only while its stamp equals the current
+  * search's epoch, so starting a search costs O(1), not O(|V|); the
+  * stamps are cleared only when the epoch counter wraps.
+  *
+  * The heap is a binary min-heap on parallel `Array[Double]` keys and
+  * `Array[Int]` vertices. Its sift steps are those of
+  * `java.util.PriorityQueue` comparing keys only with
+  * `java.lang.Double.compare`, so entries with tied keys pop in exactly
+  * the order that queue pops them. Tied vertices settle in that order,
+  * which decides `predArc` and `owner`, hence the summaries' edge sets.
+  * Only the last push of a vertex can pop live (every earlier one has a
+  * larger key), so the owner a vertex settles with is kept per vertex,
+  * not per heap entry.
+  */
+final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
+  private var epoch      = startEpoch
+  private val reachedAt  = new Array[Int](n)
+  private val settledAt  = new Array[Int](n)
+  private val targetAt   = new Array[Int](n)
+  private val distOf     = new Array[Double](n)
+  private val predArcOf  = new Array[Int](n)
+  private val ownerOf    = new Array[Int](n)
+  private var heapKey    = new Array[Double](64)
+  private var heapVertex = new Array[Int](64)
+  private var heapSize   = 0
+
+  /** Distance from the nearest source (+∞ if unreached). */
+  def dist(v: Int): Double = if (reachedAt(v) == epoch) distOf(v) else Double.PositiveInfinity
+
+  /** Arc that last relaxed `v` (−1 for a source or an unreached vertex). */
+  def predArc(v: Int): Int = if (reachedAt(v) == epoch) predArcOf(v) else -1
+
+  /** Index into the search's sources of `v`'s nearest source (−1 if unreached). */
+  def owner(v: Int): Int = if (reachedAt(v) == epoch) ownerOf(v) else -1
+
+  def settled(v: Int): Boolean = settledAt(v) == epoch
+
+  private[graph] def begin(): Unit = {
+    if (epoch == Int.MaxValue) {
+      java.util.Arrays.fill(reachedAt, 0)
+      java.util.Arrays.fill(settledAt, 0)
+      java.util.Arrays.fill(targetAt, 0)
+      epoch = 0
+    }
+    epoch += 1
+    heapSize = 0
+  }
+
+  private[graph] def reached(v: Int): Boolean = reachedAt(v) == epoch
+
+  private[graph] def relax(v: Int, d: Double, arc: Int, owner: Int): Unit = {
+    reachedAt(v) = epoch
+    distOf(v) = d
+    predArcOf(v) = arc
+    ownerOf(v) = owner
+    push(d, v)
+  }
+
+  private[graph] def settle(v: Int): Unit = settledAt(v) = epoch
+
+  /** Marks `v` as a target; false if it already was one. */
+  private[graph] def markTarget(v: Int): Boolean =
+    if (targetAt(v) == epoch) false else { targetAt(v) = epoch; true }
+
+  private[graph] def isTarget(v: Int): Boolean = targetAt(v) == epoch
+
+  private[graph] def heapEmpty: Boolean = heapSize == 0
+
+  private[graph] def topKey: Double = heapKey(0)
+
+  /** `PriorityQueue.offer`: sift up while strictly below the parent. */
+  private[graph] def push(key: Double, v: Int): Unit = {
+    if (heapSize == heapKey.length) {
+      heapKey = java.util.Arrays.copyOf(heapKey, 2 * heapSize)
+      heapVertex = java.util.Arrays.copyOf(heapVertex, 2 * heapSize)
+    }
+    var k = heapSize
+    heapSize += 1
+    var moving = true
+    while (moving && k > 0) {
+      val parent = (k - 1) >>> 1
+      if (java.lang.Double.compare(key, heapKey(parent)) >= 0) moving = false
+      else {
+        heapKey(k) = heapKey(parent); heapVertex(k) = heapVertex(parent)
+        k = parent
+      }
+    }
+    heapKey(k) = key; heapVertex(k) = v
+  }
+
+  /** `PriorityQueue.poll`: remove the root, sift the last entry down from
+    * the root, preferring the left child unless the right is strictly smaller.
+    */
+  private[graph] def pop(): Int = {
+    val top = heapVertex(0)
+    heapSize -= 1
+    val last = heapSize
+    if (last > 0) {
+      val key = heapKey(last); val v = heapVertex(last)
+      val half = last >>> 1
+      var k = 0
+      var moving = true
+      while (moving && k < half) {
+        var child = 2 * k + 1
+        val right = child + 1
+        if (right < last && java.lang.Double.compare(heapKey(child), heapKey(right)) > 0) child = right
+        if (java.lang.Double.compare(key, heapKey(child)) <= 0) moving = false
+        else {
+          heapKey(k) = heapKey(child); heapVertex(k) = heapVertex(child)
+          k = child
+        }
+      }
+      heapKey(k) = key; heapVertex(k) = v
+    }
+    top
   }
 }
 

@@ -1,0 +1,63 @@
+package repro.core
+
+import repro.SparkSpec
+import repro.kg.{KGBuilder, KgIndex, MLSynth, NodeType}
+import repro.rec.Pgpr
+
+/** Golden fingerprints of the summary kernels: any change to the shortest
+  * path search, its tie order or the kernels' merge rules that alters an
+  * ST or PCST edge set on this fixed-seed grid changes the hash.
+  */
+class GoldenSummarySpec extends SparkSpec {
+
+  /** MD5 of every (scenario, method, k) edge set and path-node count of the
+    * grid below, recorded from the boxed-heap kernels the search replaced.
+    */
+  private val Golden = "0c4920be40e70fb66677d03fa0d4c179"
+
+  private val methods: Seq[Summarizer.Method] =
+    Seq(Summarizer.ST(0.01), Summarizer.ST(1.0), Summarizer.ST(100.0), Summarizer.PCST())
+
+  private lazy val idx = KgIndex.fromKGraph(KGBuilder.build(spark, MLSynth.ml1m(spark, scale = 0.05)))
+
+  /** User-centric scenarios at k ∈ {1, 5, 10} for eight users, and user
+    * groups of 4 and 8 of them at k = 10.
+    */
+  private lazy val tasks: Seq[(Scenario, Summarizer.Method, Int)] = {
+    val g = idx.graph
+    val rec = new Pgpr
+    val users = (0 until g.numVertices)
+      .filter(v => idx.vtype(v) == NodeType.User && g.degree(v) >= 5).take(8)
+    val paths = users.map(u => g.ids(u) -> rec.recommend(idx, u, 10, seed = 3L))
+      .filter(_._2.nonEmpty)
+    val userCentric = for ((u, ps) <- paths; k <- Seq(1, 5, 10))
+      yield (UserCentric(u, ps.take(k)): Scenario, k)
+    val groups = Seq(4, 8).map { n =>
+      val members = paths.take(n)
+      (UserGroup(s"g$n", members.map(_._1), members.flatMap(_._2)): Scenario, 10)
+    }
+    for ((s, k) <- userCentric ++ groups; m <- methods) yield (s, m, k)
+  }
+
+  private def fingerprint(results: Seq[Summarizer.Result]): String = {
+    val lines = results.map { r =>
+      val edges = r.subgraph.edges.map(e => s"${e.src}-${e.dst}").sorted.mkString(",")
+      s"${r.scenarioId}|${r.method}|${r.k}|${r.subgraph.pathNodeOccurrences}|$edges"
+    }.sorted
+    val md = java.security.MessageDigest.getInstance("MD5")
+    lines.foreach(l => md.update((l + "\n").getBytes("UTF-8")))
+    md.digest().map(b => f"$b%02x").mkString
+  }
+
+  test("ST(λ ∈ {0.01, 1, 100}) and PCST edge sets match the recorded fingerprint") {
+    val serial = tasks.map { case (s, m, k) => Summarizer.summarize(idx, s, m, k) }
+    assert(tasks.size == 26 * methods.size)
+    assert(fingerprint(serial) == Golden)
+  }
+
+  test("summarizeBatch over parallel executor threads gives the same fingerprint") {
+    val kgB = spark.sparkContext.broadcast(idx)
+    val batch = Summarizer.summarizeBatch(spark.sparkContext, kgB, tasks)
+    assert(fingerprint(batch) == Golden)
+  }
+}

@@ -116,6 +116,85 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     assert(owner(g.indexOf(3)) == -1)
   }
 
+  test("property: the search heap pops tied keys in java.util.PriorityQueue order") {
+    // Few distinct keys, so most pushes tie; pops interleave with pushes.
+    val op = Gen.frequency(2 -> Gen.choose(0, 3).map(k => Some(k * 0.25)), 1 -> Gen.const(None))
+    checkProp(Prop.forAll(Gen.listOfN(300, op)) { ops =>
+      val ws = new SearchSpace(1)
+      val pq = new java.util.PriorityQueue[Array[Double]](64,
+        (a: Array[Double], b: Array[Double]) => java.lang.Double.compare(a(0), b(0)))
+      var v = 0
+      ops.forall {
+        case Some(key) =>
+          ws.push(key, v); pq.add(Array(key, v.toDouble)); v += 1
+          true
+        case None =>
+          if (pq.isEmpty) ws.heapEmpty
+          else {
+            val top = pq.poll()
+            !ws.heapEmpty && ws.topKey == top(0) && ws.pop() == top(1).toInt
+          }
+      } && Iterator.continually(pq.poll()).takeWhile(_ != null).forall(top => ws.pop() == top(1).toInt) &&
+        ws.heapEmpty
+    }, minTests = 50)
+  }
+
+  /** Runs `searches` back to back in `ws` and checks each against the same
+    * search in a fresh space: every vertex's dist, predArc, owner and
+    * settled flag must agree.
+    */
+  private def matchesFresh(g: CompactGraph, ws: SearchSpace, rnd: scala.util.Random,
+                           searches: Int): Boolean = {
+    val cost = byWeight(g)
+    (1 to searches).forall { _ =>
+      val sources = rnd.shuffle((0 until g.numVertices).toList).take(1 + rnd.nextInt(3)).toArray
+      val targets = rnd.nextInt(3) match {
+        case 0 => null
+        case 1 => Array.empty[Int]
+        case _ => Array.fill(1 + rnd.nextInt(3))(rnd.nextInt(g.numVertices))
+      }
+      val maxDist = if (rnd.nextBoolean()) Double.PositiveInfinity else 0.5 + 2 * rnd.nextDouble()
+      val fresh = new SearchSpace(g.numVertices)
+      g.search(ws, sources, cost, targets, maxDist)
+      g.search(fresh, sources, cost, targets, maxDist)
+      (0 until g.numVertices).forall { v =>
+        ws.dist(v) == fresh.dist(v) && ws.predArc(v) == fresh.predArc(v) &&
+          ws.owner(v) == fresh.owner(v) && ws.settled(v) == fresh.settled(v)
+      }
+    }
+  }
+
+  test("property: back-to-back searches in one space match fresh searches") {
+    checkProp(Prop.forAll(TestGraphs.randomGraphGen(12), Gen.choose(0L, Long.MaxValue)) { (triples, seed) =>
+      val g = CompactGraph.fromTriples(triples)
+      matchesFresh(g, new SearchSpace(g.numVertices), new scala.util.Random(seed), searches = 20)
+    }, minTests = 25)
+  }
+
+  test("searches across the epoch wraparound match fresh searches") {
+    val g = CompactGraph.fromTriples(
+      TestGraphs.randomGraphGen(12).pureApply(Gen.Parameters.default, org.scalacheck.rng.Seed(3L)))
+    val ws = new SearchSpace(g.numVertices, startEpoch = Int.MaxValue - 3)
+    assert(matchesFresh(g, ws, new scala.util.Random(5L), searches = 8))
+  }
+
+  test("a graph serialised after a search searches again on the copy") {
+    val g = diamond
+    val before = g.dijkstra(g.indexOf(0), byWeight(g))
+    val bytes = new java.io.ByteArrayOutputStream()
+    val out = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(g); out.close()
+    val copy = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[CompactGraph]
+    val after = copy.dijkstra(copy.indexOf(0), byWeight(copy))
+    assert(after.dist.sameElements(before.dist) && after.predArc.sameElements(before.predArc))
+  }
+
+  test("a source listed twice is rejected") {
+    val g = diamond
+    intercept[IllegalArgumentException](g.voronoi(Array(0, 2, 0), byWeight(g)))
+  }
+
   test("bfsHops: hop counts over the undirected view") {
     val g = CompactGraph.fromTriples(Seq((0L, 1L, 9.0), (1L, 2L, 9.0), (3L, 2L, 9.0)))
     val hops = g.bfsHops(g.indexOf(0))
