@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{CompactGraph, DisjointSet, EdgeCost, LongKeyTable}
+import repro.graph.{CompactGraph, DisjointSet, EdgeCost, IndexSort, LongKeyTable}
 
 /** Algorithm 2 of the paper: PCST-based summary explanations.
   *
@@ -42,20 +42,27 @@ object Pcst {
   def summarize(g: CompactGraph, cost: EdgeCost, terminals: Array[Int],
                 prizes: Array[Double]): TreeResult = {
     require(terminals.length == prizes.length, "one prize per terminal")
-    val (terms, prize) = {
-      val seen = new java.util.HashMap[Integer, java.lang.Double]()
-      var i = 0
-      while (i < terminals.length) {
-        val cur = seen.get(terminals(i))
-        if (cur == null || cur < prizes(i)) seen.put(terminals(i), prizes(i))
-        i += 1
-      }
-      val t = new Array[Int](seen.size()); val p = new Array[Double](seen.size())
-      val it = seen.entrySet().iterator(); var n = 0
-      while (it.hasNext) { val e = it.next(); t(n) = e.getKey; p(n) = e.getValue; n += 1 }
-      // Deterministic order regardless of hash iteration.
-      val order = t.indices.sortBy(t(_)).toArray
-      (order.map(t(_)), order.map(p(_)))
+    // Distinct terminals in ascending vertex order, each with the largest
+    // of its prizes (the first of equal ones): (vertex, position) packed so
+    // one primitive sort groups a terminal's occurrences in input order.
+    val packed = new Array[Long](terminals.length)
+    var i = 0
+    while (i < terminals.length) { packed(i) = (terminals(i).toLong << 32) | i; i += 1 }
+    java.util.Arrays.sort(packed)
+    def vertexAt(k: Int): Int = (packed(k) >> 32).toInt
+    def firstOf(k: Int): Boolean = k == 0 || vertexAt(k) != vertexAt(k - 1)
+    var distinct = 0
+    i = 0
+    while (i < packed.length) { if (firstOf(i)) distinct += 1; i += 1 }
+    val terms = new Array[Int](distinct)
+    val prize = new Array[Double](distinct)
+    var t = -1
+    i = 0
+    while (i < packed.length) {
+      val p = prizes(packed(i).toInt)
+      if (firstOf(i)) { t += 1; terms(t) = vertexAt(i); prize(t) = p }
+      else if (prize(t) < p) prize(t) = p
+      i += 1
     }
     if (terms.length <= 1) return TreeResult(Array.empty, terms.length)
 
@@ -66,8 +73,10 @@ object Pcst {
     g.search(ws, terms, cost, null, budgetCap)
 
     // Cheapest boundary proposal per region pair: (cost, edge id), the
-    // lower edge id on equal cost.
-    val proposals = new LongKeyTable(terms.length)
+    // lower edge id on equal cost. There are at most n(n−1)/2 region pairs
+    // and |E| boundary edges, so the table never rehashes.
+    val n = terms.length
+    val proposals = new LongKeyTable(math.min(n.toLong * (n - 1) / 2, g.numEdges.toLong).toInt)
     var e = 0
     while (e < g.numEdges) {
       val u = g.edgeSrc(e); val v = g.edgeDst(e)
@@ -82,23 +91,26 @@ object Pcst {
       e += 1
     }
 
-    // Kruskal-ordered prize-aware merging.
-    val sorted = {
-      val arr = new Array[(Double, Long, Int)](proposals.size)
-      var s = 0; var n = 0
-      while (s < proposals.capacity) {
-        if (proposals.isOccupied(s)) {
-          arr(n) = (proposals.doubleAt(s), proposals.keyAt(s), proposals.intAt(s)); n += 1
-        }
-        s += 1
-      }
-      // (cost, key) order, compared field by field like ST's closure edges.
-      val byCost: Ordering[(Double, Long, Int)] = (x, y) => {
-        val c = java.lang.Double.compare(x._1, y._1)
-        if (c != 0) c else java.lang.Long.compare(x._2, y._2)
-      }
-      arr.sorted(byCost)
+    // Kruskal-ordered prize-aware merging, in (cost, key) order: the keys
+    // sorted ascending, then a stable index sort by cost.
+    val m = proposals.size
+    val keys = new Array[Long](m)
+    var s = 0; var k = 0
+    while (s < proposals.capacity) {
+      if (proposals.isOccupied(s)) { keys(k) = proposals.keyAt(s); k += 1 }
+      s += 1
     }
+    java.util.Arrays.sort(keys)
+    val costs = new Array[Double](m)
+    val bridges = new Array[Int](m)
+    k = 0
+    while (k < m) {
+      val slot = proposals.find(keys(k))
+      costs(k) = proposals.doubleAt(slot); bridges(k) = proposals.intAt(slot)
+      k += 1
+    }
+    val order = IndexSort.byKey(costs, m)
+
     val ds = new DisjointSet(terms.length)
     val remaining = prize.clone()
     val edgeSet = new java.util.LinkedHashSet[Integer]()
@@ -111,8 +123,11 @@ object Pcst {
       path.length
     }
 
-    sorted.foreach { case (c, key, be) =>
-      val a = (key >> 32).toInt; val b = key.toInt
+    k = 0
+    while (k < m) {
+      val p = order(k)
+      val c = costs(p); val be = bridges(p)
+      val a = (keys(p) >> 32).toInt; val b = keys(p).toInt
       val ra = ds.find(a); val rb = ds.find(b)
       if (ra != rb && c <= remaining(ra) + remaining(rb)) {
         val budget = remaining(ra) + remaining(rb) - c
@@ -123,11 +138,12 @@ object Pcst {
         val lv = walkUp(g.edgeDst(be))
         occurrences += lu + lv + 2 // nodes of the full connection path
       }
+      k += 1
     }
 
     val out = new Array[Int](edgeSet.size())
-    val it = edgeSet.iterator(); var n = 0
-    while (it.hasNext) { out(n) = it.next().intValue(); n += 1 }
+    val it = edgeSet.iterator(); var o = 0
+    while (it.hasNext) { out(o) = it.next().intValue(); o += 1 }
     TreeResult(out, occurrences)
   }
 }

@@ -25,7 +25,7 @@ final case class UserCentric(user: Long, paths: Seq[ExplanationPath]) extends Sc
   private val items = paths.map(_.item).distinct
   override def id: String = s"user:$user"
   override def family: String = "user-centric"
-  override def terminals: Array[Long] = (user +: items).toArray
+  override val terminals: Array[Long] = (user +: items).toArray
   override def anchors: Int = items.size
 }
 
@@ -34,7 +34,7 @@ final case class ItemCentric(item: Long, paths: Seq[ExplanationPath]) extends Sc
   private val users = paths.map(_.user).distinct
   override def id: String = s"item:$item"
   override def family: String = "item-centric"
-  override def terminals: Array[Long] = (item +: users).toArray
+  override val terminals: Array[Long] = (item +: users).toArray
   override def anchors: Int = users.size
 }
 
@@ -44,7 +44,7 @@ final case class UserGroup(groupId: String, users: Seq[Long], paths: Seq[Explana
   private val items = paths.map(_.item).distinct
   override def id: String = s"ugroup:$groupId"
   override def family: String = "user-group"
-  override def terminals: Array[Long] = (users ++ items).distinct.toArray
+  override val terminals: Array[Long] = (users ++ items).distinct.toArray
   override def anchors: Int = items.size
 }
 
@@ -54,6 +54,6 @@ final case class ItemGroup(groupId: String, items: Seq[Long], paths: Seq[Explana
   private val users = paths.map(_.user).distinct
   override def id: String = s"igroup:$groupId"
   override def family: String = "item-group"
-  override def terminals: Array[Long] = (items ++ users).distinct.toArray
+  override val terminals: Array[Long] = (items ++ users).distinct.toArray
   override def anchors: Int = users.size
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{CompactGraph, DisjointSet, EdgeCost}
+import repro.graph.{CompactGraph, DisjointSet, EdgeCost, IndexSort}
 
 /** Result of a tree kernel run.
   *
@@ -31,7 +31,7 @@ final case class TreeResult(edgeIds: Array[Int], pathNodeOccurrences: Int)
 object SteinerTree {
 
   def summarize(g: CompactGraph, cost: EdgeCost, terminals: Array[Int]): TreeResult = {
-    val terms = terminals.distinct
+    val terms = IndexSort.distinct(terminals, terminals.length)
     if (terms.length <= 1) return TreeResult(Array.empty, terms.length)
 
     // Step 1-2: metric closure. One SSSP per terminal in the calling
@@ -39,51 +39,74 @@ object SteinerTree {
     // settled: pair (i, j) with i < j reads only SSSP i, and a settled
     // vertex's distance and predecessor never change, so stopping there
     // loses nothing. The last terminal's SSSP would serve no pair.
+    //
+    // Each finite pair i < j is kept in parallel arrays sized for all
+    // n(n−1)/2 pairs: closure distance, i, j and the offset of its
+    // source→terminal edge ids in one shared pool, so the Θ(|T|²) closure
+    // costs no object per pair.
     val n = terms.length
     val ws = g.workspace
-    // (closure distance, i, j, source→terminal edge ids) of pairs i < j
-    val pairs = scala.collection.mutable.ArrayBuffer.empty[(Double, Int, Int, Array[Int])]
+    val bound = Math.toIntExact(n.toLong * (n - 1) / 2)
+    val pairDist = new Array[Double](bound)
+    val pairI = new Array[Int](bound)
+    val pairJ = new Array[Int](bound)
+    val pathAt = new Array[Int](bound + 1) // pair p's path is pool(pathAt(p) until pathAt(p + 1))
+    var pool = new Array[Int](bound)       // every finite pair has at least one edge
+    var pairs = 0
     var i = 0
     while (i < n - 1) {
       g.search(ws, Array(terms(i)), cost, terms.drop(i + 1), Double.PositiveInfinity)
       var j = i + 1
       while (j < n) {
         val d = ws.dist(terms(j))
-        if (d.isFinite) pairs += ((d, i, j, g.pathEdges(ws, terms(j))))
+        if (d.isFinite) {
+          val from = pathAt(pairs)
+          val end = from + g.pathLength(ws, terms(j))
+          if (end > pool.length) {
+            // Grow to what all pairs would need at the mean path length so
+            // far, plus an eighth: one copy, not a doubling series.
+            val projected = end.toLong * bound / (pairs + 1)
+            pool = java.util.Arrays.copyOf(pool, math.max(end, math.min(projected * 9 / 8, Int.MaxValue).toInt))
+          }
+          g.writePath(ws, terms(j), pool, end)
+          pairDist(pairs) = d; pairI(pairs) = i; pairJ(pairs) = j
+          pairs += 1
+          pathAt(pairs) = end
+        }
         j += 1
       }
       i += 1
     }
 
     // Step 3-7: MST of the terminal metric closure (Kruskal over all
-    // finite terminal pairs; deterministic tie-breaking by indices).
+    // finite terminal pairs). Pairs were appended in (i, j) order and the
+    // index sort is stable, so the order is (d, i, j).
     val ds = new DisjointSet(n)
     val edgeSet = new java.util.LinkedHashSet[Integer]()
     var occurrences = 0
 
     // Steps 8-14: expand each accepted closure edge into its graph path.
-    // Kruskal order (d, i, j), compared field by field: a key tuple built
-    // per comparison would allocate Θ(|T|² log |T|) objects.
-    val byClosure: Ordering[(Double, Int, Int, Array[Int])] = (x, y) => {
-      val c = java.lang.Double.compare(x._1, y._1)
-      if (c != 0) c else if (x._2 != y._2) Integer.compare(x._2, y._2) else Integer.compare(x._3, y._3)
-    }
-    pairs.sorted(byClosure).foreach { case (_, a, b, path) =>
-      if (ds.union(a, b)) {
+    val order = IndexSort.byKey(pairDist, pairs)
+    var k = 0
+    while (k < pairs) {
+      val p = order(k)
+      if (ds.union(pairI(p), pairJ(p))) {
         // Count only the nodes of newly added segments: a segment of L new
         // edges introduces at most L + 1 node mentions, and re-walking an
         // already summarized edge is not a duplicate "mention" — the tree
         // is presented once, which is what keeps ST redundancy below the
         // baselines' (§V-B4).
-        val newEdges = path.count(e => !edgeSet.contains(e))
+        var newEdges = 0
+        var a = pathAt(p)
+        while (a < pathAt(p + 1)) { if (edgeSet.add(pool(a))) newEdges += 1; a += 1 }
         occurrences += newEdges + 1
-        path.foreach(e => edgeSet.add(e))
       }
+      k += 1
     }
 
     val out = new Array[Int](edgeSet.size())
-    val it = edgeSet.iterator(); var k = 0
-    while (it.hasNext) { out(k) = it.next().intValue(); k += 1 }
+    val it = edgeSet.iterator(); var m = 0
+    while (it.hasNext) { out(m) = it.next().intValue(); m += 1 }
     TreeResult(out, occurrences)
   }
 }

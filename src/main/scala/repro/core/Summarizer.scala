@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
-import repro.graph.{EdgeCost, LongKeyTable}
+import repro.graph.{CompactGraph, EdgeCost, IndexSort}
 import repro.kg.KgIndex
 
 /** Orchestrates summary computation: scenario → terminal resolution →
@@ -62,15 +62,15 @@ object Summarizer {
         (pathsUnion(kg, scenario), scenario.paths.iterator.map(_.nodes.length * 8L).sum)
 
       case ST(lambda) =>
-        val terms = scenario.terminals.filter(g.contains).map(g.indexOf).distinct
-        // The overlay copied once into a primitive table: the cost oracle
-        // runs on every arc relaxation and must not box.
-        val adjusted = WeightAdjust.overlay(kg, scenario.paths, scenario.anchors, lambda)
-        val overlay = new LongKeyTable(adjusted.size)
+        val terms = terminalIndices(g, scenario.terminals)
+        // Eq. (1) in a primitive table: the cost oracle runs on every arc
+        // relaxation and must not box.
+        val overlay = WeightAdjust.overlayTable(kg, scenario.paths, scenario.anchors, lambda)
         var wMax = kg.maxBaseWeight
-        adjusted.forEach { (e, w) =>
-          overlay.put(e.longValue, w, 0)
-          if (w > wMax) wMax = w
+        var s = 0
+        while (s < overlay.capacity) {
+          if (overlay.isOccupied(s) && overlay.doubleAt(s) > wMax) wMax = overlay.doubleAt(s)
+          s += 1
         }
         val wm = wMax
         val cost: EdgeCost = (e: Int) => {
@@ -79,14 +79,14 @@ object Summarizer {
           (wm - w) + Delta
         }
         val res = SteinerTree.summarize(g, cost, terms)
-        (resolve(kg, scenario, res, keepIsolated = true),
+        (resolve(kg, scenario, terms, res, keepIsolated = true),
           terms.length.toLong * g.numVertices * 12L)
 
       case PCST(edgeCost) =>
-        val terms = scenario.terminals.filter(g.contains).map(g.indexOf).distinct
+        val terms = terminalIndices(g, scenario.terminals)
         val res = Pcst.summarize(g, EdgeCost.uniform(edgeCost), terms,
           Array.fill(terms.length)(1.0))
-        (resolve(kg, scenario, res, keepIsolated = false), g.numVertices * 16L)
+        (resolve(kg, scenario, terms, res, keepIsolated = false), g.numVertices * 16L)
     }
     Result(scenario.id, scenario.family, method.label, k, sub, System.nanoTime() - t0, mem)
   }
@@ -124,20 +124,43 @@ object Summarizer {
     )
   }
 
-  /** Turn a kernel result (edge ids) back into a node-id [[Subgraph]]. */
-  private def resolve(kg: KgIndex, scenario: Scenario, res: TreeResult,
+  /** Vertex indices of the terminals that are in G, each once, in order of
+    * first occurrence (ST's Kruskal tie-break follows this order).
+    */
+  private def terminalIndices(g: CompactGraph, terminals: Array[Long]): Array[Int] = {
+    val idx = new Array[Int](terminals.length)
+    var n = 0
+    var i = 0
+    while (i < terminals.length) {
+      val v = g.find(terminals(i))
+      if (v >= 0) { idx(n) = v; n += 1 }
+      i += 1
+    }
+    IndexSort.distinct(idx, n)
+  }
+
+  /** Turn a kernel result (edge ids) back into a node-id [[Subgraph]].
+    * `terms` are the scenario's terminal indices from [[terminalIndices]].
+    */
+  private def resolve(kg: KgIndex, scenario: Scenario, terms: Array[Int], res: TreeResult,
                       keepIsolated: Boolean): Subgraph = {
     val g = kg.graph
     val edges = res.edgeIds.map { e =>
       SummaryEdge(g.ids(g.edgeSrc(e)), g.ids(g.edgeDst(e)), g.edgeWeight(e))
     }
-    val covered = edges.iterator.flatMap(e => Iterator(e.src, e.dst)).toSet
     // Only terminals that exist in G can appear in V_S; a terminal outside
     // the graph (e.g. a hallucinated PLM item) is dropped entirely.
     val isolated =
-      if (keepIsolated)
-        scenario.terminals.distinct.filter(t => g.contains(t) && !covered.contains(t))
-      else Array.empty[Long]
+      if (keepIsolated) {
+        val covered = new Array[Int](2 * res.edgeIds.length)
+        var k = 0
+        while (k < res.edgeIds.length) {
+          covered(2 * k) = g.edgeSrc(res.edgeIds(k)); covered(2 * k + 1) = g.edgeDst(res.edgeIds(k))
+          k += 1
+        }
+        java.util.Arrays.sort(covered)
+        terms.filter(t => java.util.Arrays.binarySearch(covered, t) < 0).map(g.ids(_))
+      } else Array.empty[Long]
     Subgraph(
       terminals = scenario.terminals,
       edges = edges,

@@ -55,15 +55,23 @@ final class CompactGraph(
   val numVertices: Int = ids.length
   val numEdges: Int    = edgeSrc.length
 
-  /** External node id → vertex index (binary search over the sorted ids). */
-  def indexOf(id: Long): Int = {
+  /** External node id → vertex index, or −1 if the id is not in the graph
+    * (binary search over the sorted ids).
+    */
+  def find(id: Long): Int = {
     val i = java.util.Arrays.binarySearch(ids, id)
+    if (i >= 0) i else -1
+  }
+
+  /** External node id → vertex index; the id must be in the graph. */
+  def indexOf(id: Long): Int = {
+    val i = find(id)
     require(i >= 0, s"node id $id not in graph")
     i
   }
 
   /** True iff the external node id is present in the graph. */
-  def contains(id: Long): Boolean = java.util.Arrays.binarySearch(ids, id) >= 0
+  def contains(id: Long): Boolean = find(id) >= 0
 
   def degree(v: Int): Int = offsets(v + 1) - offsets(v)
 
@@ -154,32 +162,48 @@ final class CompactGraph(
     * the edge ids of the shortest path in source→v order.
     */
   def pathEdges(res: SsspResult, v: Int): List[Int] = {
-    val (path, root) = walkBack(res.predArc(_), v)
-    require(root == res.source || path.isEmpty, "predecessor walk did not reach the source")
-    path.toList
+    var path = List.empty[Int]
+    var cur = v
+    while (res.predArc(cur) != -1) {
+      val e = arcEdge(res.predArc(cur))
+      path = e :: path
+      cur = otherEnd(e, cur)
+    }
+    require(cur == res.source || path.isEmpty, "predecessor walk did not reach the source")
+    path
   }
 
   /** Edge ids of the shortest path from the last [[search]]'s sources to
     * `v`, in source→v order (empty for a source or an unreached vertex).
     */
-  def pathEdges(ws: SearchSpace, v: Int): Array[Int] = walkBack(ws.predArc, v)._1
+  def pathEdges(ws: SearchSpace, v: Int): Array[Int] = {
+    val path = new Array[Int](pathLength(ws, v))
+    writePath(ws, v, path, path.length)
+    path
+  }
 
-  /** Follows `predArc` back from `v`: the edge ids in source→v order, and
-    * the vertex the walk ends at.
+  /** Number of edges on the shortest path from the last [[search]]'s
+    * sources to `v`.
     */
-  private def walkBack(predArc: Int => Int, v: Int): (Array[Int], Int) = {
+  def pathLength(ws: SearchSpace, v: Int): Int = {
     var len = 0
     var cur = v
-    while (predArc(cur) != -1) { cur = otherEnd(arcEdge(predArc(cur)), cur); len += 1 }
-    val root = cur
-    val path = new Array[Int](len)
-    cur = v
-    while (len > 0) {
-      len -= 1
-      path(len) = arcEdge(predArc(cur))
-      cur = otherEnd(path(len), cur)
+    while (ws.predArc(cur) != -1) { cur = otherEnd(arcEdge(ws.predArc(cur)), cur); len += 1 }
+    len
+  }
+
+  /** Writes the edge ids of that path, in source→v order, into
+    * `dst(end - pathLength(ws, v) until end)`, so that callers can pack
+    * many paths into one array without allocating one per path.
+    */
+  def writePath(ws: SearchSpace, v: Int, dst: Array[Int], end: Int): Unit = {
+    var k = end
+    var cur = v
+    while (ws.predArc(cur) != -1) {
+      k -= 1
+      dst(k) = arcEdge(ws.predArc(cur))
+      cur = otherEnd(dst(k), cur)
     }
-    (path, root)
   }
 
   // The arc into `v` carries edge e, so its other endpoint is the parent.
@@ -401,10 +425,20 @@ object CompactGraph {
     assemble(ids, edgeSrc, edgeDst, edgeW)
   }
 
+  // Every kernel adds edge costs derived from these weights, so one NaN or
+  // infinite weight would corrupt every summary that reaches its edge;
+  // building the graph, before any executor task runs, is where it can
+  // still be named.
   private def assemble(ids: Array[Long], edgeSrc: Array[Int], edgeDst: Array[Int],
                        edgeW: Array[Double]): CompactGraph = {
     val n = ids.length
     val m = edgeSrc.length
+    var w = 0
+    while (w < m) {
+      require(java.lang.Double.isFinite(edgeW(w)),
+        s"edge ${ids(edgeSrc(w))} -> ${ids(edgeDst(w))} has weight ${edgeW(w)}; edge weights must be finite")
+      w += 1
+    }
     val deg = new Array[Int](n + 1)
     var e = 0
     while (e < m) { deg(edgeSrc(e) + 1) += 1; deg(edgeDst(e) + 1) += 1; e += 1 }

@@ -1,0 +1,69 @@
+package repro.graph
+
+/** Sorting on primitive arrays for the kernels' per-summary tails: the
+  * Kruskal orders of ST's metric closure and PCST's boundary proposals, and
+  * terminal deduplication. Nothing here boxes, and no comparison allocates.
+  */
+object IndexSort {
+
+  /** The permutation of `0 until n` that orders `keys(0 until n)` by
+    * `java.lang.Double.compare`, tied keys in index order (a stable merge
+    * sort). Parallel arrays appended in a secondary order are thereby
+    * sorted by (key, that order).
+    */
+  def byKey(keys: Array[Double], n: Int): Array[Int] = {
+    var perm = new Array[Int](n)
+    var buf = new Array[Int](n)
+    var i = 0
+    while (i < n) { perm(i) = i; i += 1 }
+    var width = 1
+    while (width < n) {
+      var lo = 0
+      while (lo < n) {
+        val mid = math.min(lo + width, n)
+        val hi = math.min(lo + 2 * width, n)
+        var a = lo; var b = mid; var k = lo
+        while (k < hi) {
+          // Take from the left run unless the right key is strictly smaller.
+          if (b >= hi || (a < mid && java.lang.Double.compare(keys(perm(a)), keys(perm(b))) <= 0)) {
+            buf(k) = perm(a); a += 1
+          } else {
+            buf(k) = perm(b); b += 1
+          }
+          k += 1
+        }
+        lo = hi
+      }
+      val t = perm; perm = buf; buf = t
+      width *= 2
+    }
+    perm
+  }
+
+  /** The distinct values of `a(0 until n)`, each at its first occurrence,
+    * in the order of those occurrences.
+    */
+  def distinct(a: Array[Int], n: Int): Array[Int] = {
+    // (value, position) packed so one primitive sort groups equal values,
+    // first occurrence first.
+    val packed = new Array[Long](n)
+    var i = 0
+    while (i < n) { packed(i) = (a(i).toLong << 32) | i; i += 1 }
+    java.util.Arrays.sort(packed)
+    val first = new Array[Boolean](n)
+    var count = 0
+    var k = 0
+    while (k < n) {
+      if (k == 0 || (packed(k) >> 32) != (packed(k - 1) >> 32)) { first(packed(k).toInt) = true; count += 1 }
+      k += 1
+    }
+    val out = new Array[Int](count)
+    var m = 0
+    i = 0
+    while (i < n) {
+      if (first(i)) { out(m) = a(i); m += 1 }
+      i += 1
+    }
+    out
+  }
+}

@@ -3,8 +3,9 @@ package repro.graph
 /** Open-addressing hash table from `long` keys to a (`double`, `int`) value
   * pair, on parallel primitive arrays with linear probing, so a lookup or an
   * update boxes nothing. It holds the kernels' per-summary sparse maps: the
-  * Eq. (1) weight overlay (edge id → weight) and PCST's cheapest boundary
-  * proposal per region pair (pair key → cost, edge id).
+  * Eq. (1) weight overlay (edge id → weight, path count) and PCST's cheapest
+  * boundary proposal per region pair (pair key → cost, edge id); and
+  * `KgIndex`'s undirected edge lookup (pair key → edge id).
   */
 final class LongKeyTable(expected: Int) {
   private var keys     = new Array[Long](LongKeyTable.capacityFor(expected))

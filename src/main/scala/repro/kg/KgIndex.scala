@@ -1,6 +1,6 @@
 package repro.kg
 
-import repro.graph.CompactGraph
+import repro.graph.{CompactGraph, LongKeyTable}
 
 /** Broadcastable query-side view of a knowledge-based graph: the CSR
   * structure plus per-vertex node types, degree-ordered popularity ranks
@@ -31,28 +31,38 @@ final class KgIndex(val graph: CompactGraph) extends Serializable {
     }.toMap
   }
 
-  /** Undirected edge lookup; rebuilt lazily on each executor after
-    * deserialisation (cheaper than shipping the map).
+  /** Undirected edge lookup, pair key → edge id in the table's int value;
+    * rebuilt lazily on each executor after deserialisation (cheaper than
+    * shipping it). Of parallel edges between one pair, the first wins.
     */
-  @transient private lazy val edgeLookup: java.util.HashMap[Long, Integer] = {
-    val m = new java.util.HashMap[Long, Integer](graph.numEdges * 2)
+  @transient private lazy val edgeLookup: LongKeyTable = {
+    val t = new LongKeyTable(graph.numEdges)
     var e = 0
     while (e < graph.numEdges) {
-      m.putIfAbsent(key(graph.edgeSrc(e), graph.edgeDst(e)), e)
+      val k = key(graph.edgeSrc(e), graph.edgeDst(e))
+      if (t.find(k) < 0) t.put(k, 0.0, e)
       e += 1
     }
-    m
+    t
   }
 
   private def key(a: Int, b: Int): Long =
     if (a <= b) (a.toLong << 32) | (b.toLong & 0xffffffffL)
     else (b.toLong << 32) | (a.toLong & 0xffffffffL)
 
+  /** Edge id between two vertex indices, in either direction, or −1 if
+    * they are not adjacent.
+    */
+  def edgeId(a: Int, b: Int): Int = {
+    val s = edgeLookup.find(key(a, b))
+    if (s < 0) -1 else edgeLookup.intAt(s)
+  }
+
   /** Edge id between two node ids, in either direction, if present. */
   def edgeBetween(aId: Long, bId: Long): Option[Int] = {
-    if (!graph.contains(aId) || !graph.contains(bId)) return None
-    val e = edgeLookup.get(key(graph.indexOf(aId), graph.indexOf(bId)))
-    if (e == null) None else Some(e.intValue())
+    val a = graph.find(aId); val b = graph.find(bId)
+    val e = if (a < 0 || b < 0) -1 else edgeId(a, b)
+    if (e < 0) None else Some(e)
   }
 
   /** Iterate the undirected neighbourhood of `v` as (neighbor, edgeId). */

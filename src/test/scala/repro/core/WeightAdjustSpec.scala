@@ -1,11 +1,14 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import org.scalacheck.{Gen, Prop}
+import repro.{Oracle, PropSupport, SparkSpec}
 import repro.eval.TableIExample
+import repro.graph.{CompactGraph, TestGraphs}
 import repro.kg.KgIndex
+import repro.rec.ExplanationPath
 
-class WeightAdjustSpec extends SparkSpec {
+class WeightAdjustSpec extends SparkSpec with PropSupport {
 
   private lazy val kg  = TableIExample.knowledgeGraph(spark)
   private lazy val idx = KgIndex.fromKGraph(kg)
@@ -68,6 +71,67 @@ class WeightAdjustSpec extends SparkSpec {
     val e = idx.edgeBetween(TableIExample.User1, TableIExample.UlyssesGaze).get
     // freq = 1 (one path), not 3 (three traversals): w = 5 * (1 + 1) = 10.
     assert(math.abs(overlay.get(e) - 10.0) < 1e-12)
+  }
+
+  /** The boxed overlay the kernels used before [[WeightAdjust.overlayTable]]:
+    * the reference both of its forms must equal.
+    */
+  private def boxedOverlay(kg: KgIndex, paths: Seq[ExplanationPath], anchors: Int,
+                           lambda: Double): java.util.HashMap[Integer, java.lang.Double] = {
+    val counts = new java.util.HashMap[Integer, Integer]()
+    paths.foreach { p =>
+      val seen = new java.util.HashSet[Integer]()
+      p.hops.foreach { case (a, b) =>
+        kg.edgeBetween(a, b).foreach { e =>
+          if (seen.add(e)) counts.merge(e, 1, (x: Integer, y: Integer) => x + y)
+        }
+      }
+    }
+    val out = new java.util.HashMap[Integer, java.lang.Double](counts.size())
+    val n = math.max(1, anchors).toDouble
+    counts.forEach { (e, c) =>
+      out.put(e, kg.graph.edgeWeight(e) * (1.0 + lambda * c.doubleValue() / n))
+    }
+    out
+  }
+
+  test("property: overlayTable and overlay equal the boxed overlay") {
+    // Random walks over a random graph that revisit hops, step to
+    // non-adjacent nodes and to a node outside the graph.
+    val gen = for {
+      triples <- TestGraphs.randomGraphGen(10)
+      seed <- Gen.choose(0L, Long.MaxValue)
+      anchors <- Gen.choose(0, 5)
+      lambda <- Gen.oneOf(0.0, 1.0, 3.0, 100.0)
+    } yield (triples, seed, anchors, lambda)
+    checkProp(Prop.forAll(gen) { case (triples, seed, anchors, lambda) =>
+      val g = CompactGraph.fromTriples(triples)
+      val kg = new KgIndex(g)
+      val rnd = new scala.util.Random(seed)
+      val nodes = g.ids :+ 999L
+      def step(id: Long): Long = {
+        val v = g.find(id)
+        if (v >= 0 && g.degree(v) > 0 && rnd.nextInt(4) > 0)
+          g.ids(g.arcTarget(g.offsets(v) + rnd.nextInt(g.degree(v))))
+        else nodes(rnd.nextInt(nodes.length))
+      }
+      val paths = Seq.fill(rnd.nextInt(6)) {
+        val walk = Vector.iterate(nodes(rnd.nextInt(nodes.length)), 1 + rnd.nextInt(6))(step)
+        val back = if (rnd.nextBoolean()) walk ++ walk.reverse.tail else walk
+        ExplanationPath(back.head, back.last, 1, back)
+      }
+      val expected = boxedOverlay(kg, paths, anchors, lambda)
+      val table = WeightAdjust.overlayTable(kg, paths, anchors, lambda)
+      val tableMatches = table.size == expected.size() && {
+        var ok = true
+        expected.forEach { (e, w) =>
+          val s = table.find(e.longValue)
+          ok &&= s >= 0 && table.doubleAt(s) == w.doubleValue()
+        }
+        ok
+      }
+      tableMatches && WeightAdjust.overlay(kg, paths, anchors, lambda) == expected
+    }, minTests = 100)
   }
 
   test("DataFrame form matches the overlay kernel on every path edge") {

@@ -204,6 +204,24 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     assert(hops(g.indexOf(3)) == 3) // reached against edge direction
   }
 
+  test("fromTriples rejects a NaN or infinite edge weight, naming the edge") {
+    Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity).foreach { w =>
+      val err = intercept[IllegalArgumentException](
+        CompactGraph.fromTriples(Seq((10L, 20L, 1.0), (20L, 30L, w))))
+      assert(err.getMessage.contains("edge 20 -> 30"), err.getMessage)
+    }
+  }
+
+  test("fromEdges rejects a NaN or infinite edge weight, naming the edge") {
+    val spark = repro.SparkSpec.shared
+    import spark.implicits._
+    Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity).foreach { w =>
+      val edges = Seq((10L, 20L, 1.0), (30L, 20L, w)).toDF("src", "dst", "weight")
+      val err = intercept[IllegalArgumentException](CompactGraph.fromEdges(edges))
+      assert(err.getMessage.contains("edge 30 -> 20"), err.getMessage)
+    }
+  }
+
   test("fromTriples and fromEdges build identical graphs") {
     val spark = repro.SparkSpec.shared
     import spark.implicits._

@@ -33,6 +33,33 @@ class KgIndexSpec extends SparkSpec {
     assert(idx.edgeBetween(123_456_789L, NodeIds.user(1)).isEmpty)
   }
 
+  test("edgeId agrees with edgeBetween on every edge, both ways, and on absent pairs") {
+    val g = idx.graph
+    (0 until g.numEdges).foreach { e =>
+      val (a, b) = (g.edgeSrc(e), g.edgeDst(e))
+      val id = idx.edgeId(a, b)
+      assert(id >= 0 && idx.edgeId(b, a) == id)
+      assert(g.edgeSrc(id) == a && g.edgeDst(id) == b || g.edgeSrc(id) == b && g.edgeDst(id) == a)
+      assert(idx.edgeBetween(g.ids(a), g.ids(b)).contains(id))
+      assert(idx.edgeBetween(g.ids(b), g.ids(a)).contains(id))
+    }
+    val rnd = new scala.util.Random(7L)
+    val absent = Iterator.continually((rnd.nextInt(g.numVertices), rnd.nextInt(g.numVertices)))
+      .filter { case (a, b) => idx.edgeBetween(g.ids(a), g.ids(b)).isEmpty }.take(200).toSeq
+    assert(absent.size == 200)
+    absent.foreach { case (a, b) => assert(idx.edgeId(a, b) == -1 && idx.edgeId(b, a) == -1) }
+  }
+
+  test("edgeId: of parallel edges between one pair, the first wins") {
+    val g = repro.graph.CompactGraph.fromTriples(
+      Seq((1L, 2L, 1.0), (2L, 3L, 1.0), (2L, 1L, 2.0), (1L, 2L, 3.0)))
+    val k = new KgIndex(g)
+    val (a, b) = (g.indexOf(1L), g.indexOf(2L))
+    assert(k.edgeId(a, b) == 0 && k.edgeId(b, a) == 0)
+    assert(k.edgeBetween(2L, 1L).contains(0))
+    assert(k.edgeId(a, g.indexOf(3L)) == -1)
+  }
+
   test("ratedItems: only item neighbours, sorted by descending weight") {
     val g = idx.graph
     val u = (0 until g.numVertices).find(v => idx.vtype(v) == NodeType.User && g.degree(v) > 2).get
