@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{CompactGraph, DisjointSet, EdgeCost, IndexSort, LongKeyTable}
+import repro.graph.{CompactGraph, EdgeCost, IndexSort}
 
 /** Algorithm 2 of the paper: PCST-based summary explanations.
   *
@@ -32,6 +32,16 @@ import repro.graph.{CompactGraph, DisjointSet, EdgeCost, IndexSort, LongKeyTable
   */
 object Pcst {
 
+  // This kernel's buffers in the calling thread's SearchSpace.
+  private final val Costs = 0     // doubles
+  private final val Remaining = 1
+  private final val Keys = 0      // longs
+  private final val Packed = 1
+  private final val Bridges = 0   // ints
+  private final val Perm = 1
+  private final val SortBuf = 2
+  private final val Path = 3
+
   /** @param g       the knowledge-based graph (CSR view)
     * @param cost    edge cost oracle w'(e); the paper's experiments ignore
     *                edge weights and use a uniform cost (§V-A)
@@ -42,23 +52,25 @@ object Pcst {
   def summarize(g: CompactGraph, cost: EdgeCost, terminals: Array[Int],
                 prizes: Array[Double]): TreeResult = {
     require(terminals.length == prizes.length, "one prize per terminal")
+    val ws = g.workspace
     // Distinct terminals in ascending vertex order, each with the largest
     // of its prizes (the first of equal ones): (vertex, position) packed so
     // one primitive sort groups a terminal's occurrences in input order.
-    val packed = new Array[Long](terminals.length)
+    val len = terminals.length
+    val packed = ws.longs(Packed, len)
     var i = 0
-    while (i < terminals.length) { packed(i) = (terminals(i).toLong << 32) | i; i += 1 }
-    java.util.Arrays.sort(packed)
+    while (i < len) { packed(i) = (terminals(i).toLong << 32) | i; i += 1 }
+    java.util.Arrays.sort(packed, 0, len)
     def vertexAt(k: Int): Int = (packed(k) >> 32).toInt
     def firstOf(k: Int): Boolean = k == 0 || vertexAt(k) != vertexAt(k - 1)
     var distinct = 0
     i = 0
-    while (i < packed.length) { if (firstOf(i)) distinct += 1; i += 1 }
+    while (i < len) { if (firstOf(i)) distinct += 1; i += 1 }
     val terms = new Array[Int](distinct)
     val prize = new Array[Double](distinct)
     var t = -1
     i = 0
-    while (i < packed.length) {
+    while (i < len) {
       val p = prizes(packed(i).toInt)
       if (firstOf(i)) { t += 1; terms(t) = vertexAt(i); prize(t) = p }
       else if (prize(t) < p) prize(t) = p
@@ -68,15 +80,17 @@ object Pcst {
 
     // A connection dearer than the total prize pool can never be accepted,
     // so the growth radius is capped at the pool (prunes huge graphs).
-    val budgetCap = prize.sum
-    val ws = g.workspace
-    g.search(ws, terms, cost, null, budgetCap)
+    val n = terms.length
+    var budgetCap = 0.0
+    i = 0
+    while (i < n) { budgetCap += prize(i); i += 1 }
+    g.search(ws, terms, 0, n, cost, budgetCap)
 
     // Cheapest boundary proposal per region pair: (cost, edge id), the
     // lower edge id on equal cost. There are at most n(n−1)/2 region pairs
     // and |E| boundary edges, so the table never rehashes.
-    val n = terms.length
-    val proposals = new LongKeyTable(math.min(n.toLong * (n - 1) / 2, g.numEdges.toLong).toInt)
+    val proposals = ws.proposals
+    proposals.reset(math.min(n.toLong * (n - 1) / 2, g.numEdges.toLong).toInt)
     var e = 0
     while (e < g.numEdges) {
       val u = g.edgeSrc(e); val v = g.edgeDst(e)
@@ -92,35 +106,40 @@ object Pcst {
     }
 
     // Kruskal-ordered prize-aware merging, in (cost, key) order: the keys
-    // sorted ascending, then a stable index sort by cost.
+    // sorted ascending, then a stable index sort by cost. The sort also
+    // keeps the table's slot order out of the result.
     val m = proposals.size
-    val keys = new Array[Long](m)
+    val keys = ws.longs(Keys, m)
     var s = 0; var k = 0
     while (s < proposals.capacity) {
       if (proposals.isOccupied(s)) { keys(k) = proposals.keyAt(s); k += 1 }
       s += 1
     }
-    java.util.Arrays.sort(keys)
-    val costs = new Array[Double](m)
-    val bridges = new Array[Int](m)
+    java.util.Arrays.sort(keys, 0, m)
+    val costs = ws.doubles(Costs, m)
+    val bridges = ws.ints(Bridges, m)
     k = 0
     while (k < m) {
       val slot = proposals.find(keys(k))
       costs(k) = proposals.doubleAt(slot); bridges(k) = proposals.intAt(slot)
       k += 1
     }
-    val order = IndexSort.byKey(costs, m)
+    val order = IndexSort.byKey(costs, m, ws.ints(Perm, m), ws.ints(SortBuf, m))
 
-    val ds = new DisjointSet(terms.length)
-    val remaining = prize.clone()
-    val edgeSet = new java.util.LinkedHashSet[Integer]()
+    val ds = ws.terminalSets
+    ds.reset(n)
+    val remaining = ws.doubles(Remaining, n)
+    System.arraycopy(prize, 0, remaining, 0, n)
+    ws.clearEdges(g.numEdges)
     var occurrences = 0
 
     def walkUp(start: Int): Int = { // add path from `start` back to its terminal
-      val path = g.pathEdges(ws, start)
-      var i = path.length
-      while (i > 0) { i -= 1; edgeSet.add(path(i)) }
-      path.length
+      val pathLen = g.pathLength(ws, start)
+      val path = ws.ints(Path, pathLen)
+      g.writePath(ws, start, path, pathLen)
+      var i = pathLen
+      while (i > 0) { i -= 1; ws.addEdge(path(i)) }
+      pathLen
     }
 
     k = 0
@@ -133,17 +152,13 @@ object Pcst {
         val budget = remaining(ra) + remaining(rb) - c
         ds.union(a, b)
         remaining(ds.find(a)) = budget
-        edgeSet.add(be)
+        ws.addEdge(be)
         val lu = walkUp(g.edgeSrc(be))
         val lv = walkUp(g.edgeDst(be))
         occurrences += lu + lv + 2 // nodes of the full connection path
       }
       k += 1
     }
-
-    val out = new Array[Int](edgeSet.size())
-    val it = edgeSet.iterator(); var o = 0
-    while (it.hasNext) { out(o) = it.next().intValue(); o += 1 }
-    TreeResult(out, occurrences)
+    TreeResult(ws.edgeIds, occurrences)
   }
 }

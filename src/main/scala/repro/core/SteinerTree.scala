@@ -1,10 +1,12 @@
 package repro.core
 
-import repro.graph.{CompactGraph, DisjointSet, EdgeCost, IndexSort}
+import repro.graph.{CompactGraph, EdgeCost, IndexSort}
 
 /** Result of a tree kernel run.
   *
-  * @param edgeIds              distinct edge ids of the summary subgraph
+  * @param edgeIds              distinct edge ids of the summary subgraph, in
+  *                             the order the kernel added them; a fresh
+  *                             array, never a workspace buffer
   * @param pathNodeOccurrences  Σ node count over the constituent expansion
   *                             paths (before dedup) — basis of the paper's
   *                             redundancy metric for summaries
@@ -30,6 +32,15 @@ final case class TreeResult(edgeIds: Array[Int], pathNodeOccurrences: Int)
   */
 object SteinerTree {
 
+  // This kernel's buffers in the calling thread's SearchSpace.
+  private final val PairDist = 0 // doubles
+  private final val PairI = 0    // ints from here on
+  private final val PairJ = 1
+  private final val PathAt = 2
+  private final val Pool = 3
+  private final val Perm = 4
+  private final val SortBuf = 5
+
   def summarize(g: CompactGraph, cost: EdgeCost, terminals: Array[Int]): TreeResult = {
     val terms = IndexSort.distinct(terminals, terminals.length)
     if (terms.length <= 1) return TreeResult(Array.empty, terms.length)
@@ -40,34 +51,30 @@ object SteinerTree {
     // vertex's distance and predecessor never change, so stopping there
     // loses nothing. The last terminal's SSSP would serve no pair.
     //
-    // Each finite pair i < j is kept in parallel arrays sized for all
-    // n(n−1)/2 pairs: closure distance, i, j and the offset of its
+    // Each finite pair i < j is kept in parallel workspace buffers sized
+    // for all n(n−1)/2 pairs: closure distance, i, j and the offset of its
     // source→terminal edge ids in one shared pool, so the Θ(|T|²) closure
-    // costs no object per pair.
+    // costs no object per pair and, once the buffers have grown, no
+    // allocation.
     val n = terms.length
     val ws = g.workspace
     val bound = Math.toIntExact(n.toLong * (n - 1) / 2)
-    val pairDist = new Array[Double](bound)
-    val pairI = new Array[Int](bound)
-    val pairJ = new Array[Int](bound)
-    val pathAt = new Array[Int](bound + 1) // pair p's path is pool(pathAt(p) until pathAt(p + 1))
-    var pool = new Array[Int](bound)       // every finite pair has at least one edge
+    val pairDist = ws.doubles(PairDist, bound)
+    val pairI = ws.ints(PairI, bound)
+    val pairJ = ws.ints(PairJ, bound)
+    val pathAt = ws.ints(PathAt, bound + 1) // pair p's path is pool(pathAt(p) until pathAt(p + 1))
+    var pool = ws.ints(Pool, bound)         // every finite pair has at least one edge
+    pathAt(0) = 0
     var pairs = 0
     var i = 0
     while (i < n - 1) {
-      g.search(ws, Array(terms(i)), cost, terms.drop(i + 1), Double.PositiveInfinity)
+      g.search(ws, terms, i, i + 1, cost, Double.PositiveInfinity)
       var j = i + 1
       while (j < n) {
         val d = ws.dist(terms(j))
         if (d.isFinite) {
-          val from = pathAt(pairs)
-          val end = from + g.pathLength(ws, terms(j))
-          if (end > pool.length) {
-            // Grow to what all pairs would need at the mean path length so
-            // far, plus an eighth: one copy, not a doubling series.
-            val projected = end.toLong * bound / (pairs + 1)
-            pool = java.util.Arrays.copyOf(pool, math.max(end, math.min(projected * 9 / 8, Int.MaxValue).toInt))
-          }
+          val end = pathAt(pairs) + g.pathLength(ws, terms(j))
+          if (end > pool.length) pool = ws.ints(Pool, end)
           g.writePath(ws, terms(j), pool, end)
           pairDist(pairs) = d; pairI(pairs) = i; pairJ(pairs) = j
           pairs += 1
@@ -81,12 +88,13 @@ object SteinerTree {
     // Step 3-7: MST of the terminal metric closure (Kruskal over all
     // finite terminal pairs). Pairs were appended in (i, j) order and the
     // index sort is stable, so the order is (d, i, j).
-    val ds = new DisjointSet(n)
-    val edgeSet = new java.util.LinkedHashSet[Integer]()
+    val ds = ws.terminalSets
+    ds.reset(n)
+    ws.clearEdges(g.numEdges)
     var occurrences = 0
 
     // Steps 8-14: expand each accepted closure edge into its graph path.
-    val order = IndexSort.byKey(pairDist, pairs)
+    val order = IndexSort.byKey(pairDist, pairs, ws.ints(Perm, pairs), ws.ints(SortBuf, pairs))
     var k = 0
     while (k < pairs) {
       val p = order(k)
@@ -98,15 +106,11 @@ object SteinerTree {
         // baselines' (§V-B4).
         var newEdges = 0
         var a = pathAt(p)
-        while (a < pathAt(p + 1)) { if (edgeSet.add(pool(a))) newEdges += 1; a += 1 }
+        while (a < pathAt(p + 1)) { if (ws.addEdge(pool(a))) newEdges += 1; a += 1 }
         occurrences += newEdges + 1
       }
       k += 1
     }
-
-    val out = new Array[Int](edgeSet.size())
-    val it = edgeSet.iterator(); var m = 0
-    while (it.hasNext) { out(m) = it.next().intValue(); m += 1 }
-    TreeResult(out, occurrences)
+    TreeResult(ws.edgeIds, occurrences)
   }
 }

@@ -44,9 +44,11 @@ object Summarizer {
     * `memModelBytes` is a working-set *model* of the kernel, not a
     * measurement (the paper measures process memory on their testbed).
     * It charges ST |T|·|V|·12 bytes, as if each of its |T| SSSPs kept its
-    * own state, and PCST's single Voronoi pass |V|·16 bytes. The kernels
-    * in fact reuse one Θ(|V|) search space per thread; beyond it ST keeps
-    * the Θ(|T|²) metric closure with its paths.
+    * own state, and PCST's single Voronoi pass |V|·16 bytes; that formula
+    * is unchanged. The kernels in fact reuse one search space per thread,
+    * which holds the Θ(|V|) search state and the kernels' scratch: ST's
+    * Θ(|T|²) metric closure with its paths and PCST's Θ(|T|²) proposal
+    * table live there, grown to the largest summary the thread has run.
     */
   final case class Result(scenarioId: String, family: String, method: String, k: Int,
                           subgraph: Subgraph, timeNs: Long, memModelBytes: Long)

@@ -83,38 +83,44 @@ final class CompactGraph(
     ThreadLocal.withInitial(() => new SearchSpace(numVertices))
 
   /** The calling thread's reusable [[SearchSpace]]. Its results stay valid
-    * until the thread's next [[search]].
+    * until the thread's next [[search]]; its kernel scratch belongs to the
+    * kernel call running on the thread.
     */
   def workspace: SearchSpace = workspaces.get()
 
   /** Multi-source Dijkstra over the undirected view with per-edge costs,
     * the one shortest-path loop of the code base. Results are read from
     * `ws` afterwards: `dist`, `predArc` and `owner`, the index *into
-    * `sources`* of the closest source.
+    * `terms`* of the closest source.
+    *
+    * The sources and the settle-set are ranges of one array, so a kernel
+    * passes slices of its terminal array without copying them.
     *
     * @param ws      the search space to run in; its previous results are discarded
-    * @param sources distinct source vertex indices, all at distance 0
+    * @param terms   the sources `terms(from until until)`, distinct and all
+    *                at distance 0, then the settle-set
+    *                `terms(until until terms.length)`: the search stops once
+    *                every reachable target has been settled (a full search
+    *                if that range is empty). Early stopping is what keeps
+    *                Algorithm 1 fast — terminals of one summary live within
+    *                a few hops.
     * @param cost    edge cost oracle; must be > 0 for every edge
-    * @param targets settle-set: the search stops once every reachable target
-    *                has been settled (null or empty for a full search).
-    *                Early stopping is what keeps Algorithm 1 fast —
-    *                terminals of one summary live within a few hops.
     * @param maxDist vertices farther than this are never reached
     */
-  def search(ws: SearchSpace, sources: Array[Int], cost: EdgeCost, targets: Array[Int],
+  def search(ws: SearchSpace, terms: Array[Int], from: Int, until: Int, cost: EdgeCost,
              maxDist: Double): Unit = {
     ws.begin()
-    var s = 0
-    while (s < sources.length) {
-      val v = sources(s)
+    var s = from
+    while (s < until) {
+      val v = terms(s)
       require(!ws.reached(v), s"source vertex $v listed twice")
       ws.relax(v, 0.0, -1, s)
       s += 1
     }
     var remaining = 0
-    var t = 0
-    while (targets != null && t < targets.length) {
-      if (ws.markTarget(targets(t))) remaining += 1
+    var t = until
+    while (t < terms.length) {
+      if (ws.markTarget(terms(t))) remaining += 1
       t += 1
     }
     var done = false
@@ -146,6 +152,13 @@ final class CompactGraph(
     }
   }
 
+  /** [[search]] from `sources` with the settle-set `targets` (null or empty
+    * for a full search); `owner` then indexes `sources`.
+    */
+  def search(ws: SearchSpace, sources: Array[Int], cost: EdgeCost, targets: Array[Int],
+             maxDist: Double): Unit =
+    search(ws, if (targets == null) sources else sources ++ targets, 0, sources.length, cost, maxDist)
+
   /** Single-source Dijkstra: [[search]] from `source`, copied out of the
     * calling thread's workspace.
     *
@@ -170,15 +183,6 @@ final class CompactGraph(
       cur = otherEnd(e, cur)
     }
     require(cur == res.source || path.isEmpty, "predecessor walk did not reach the source")
-    path
-  }
-
-  /** Edge ids of the shortest path from the last [[search]]'s sources to
-    * `v`, in source→v order (empty for a source or an unreached vertex).
-    */
-  def pathEdges(ws: SearchSpace, v: Int): Array[Int] = {
-    val path = new Array[Int](pathLength(ws, v))
-    writePath(ws, v, path, path.length)
     path
   }
 
@@ -273,6 +277,14 @@ final class CompactGraph(
   * Only the last push of a vertex can pop live (every earlier one has a
   * larger key), so the owner a vertex settles with is kept per vertex,
   * not per heap entry.
+  *
+  * It also holds the tree kernels' per-summary scratch (numbered primitive
+  * buffers, a union–find, a proposal table and the summary edge set), so
+  * that a summary allocates only its result. A kernel owns all of the
+  * scratch for the length of its call; kernels do not nest on a thread, so
+  * `SteinerTree` and `Pcst` share it. Like the per-vertex arrays, the
+  * scratch lives as long as the thread: it grows geometrically to the
+  * largest summary the thread has run and is never shrunk.
   */
 final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
   private var epoch      = startEpoch
@@ -285,6 +297,71 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
   private var heapKey    = new Array[Double](64)
   private var heapVertex = new Array[Int](64)
   private var heapSize   = 0
+
+  private val intBufs    = Array.fill(SearchSpace.IntBuffers)(new Array[Int](0))
+  private val doubleBufs = Array.fill(SearchSpace.DoubleBuffers)(new Array[Double](0))
+  private val longBufs   = Array.fill(SearchSpace.LongBuffers)(new Array[Long](0))
+  private var edgeMarkAt = new Array[Int](0)
+  private var edgeEpoch  = 0
+  private var edgeList   = new Array[Int](16)
+  private var edgeCount  = 0
+
+  /** Union–find over a summary's terminals; `reset` it before use. */
+  val terminalSets = new DisjointSet(0)
+
+  /** PCST's cheapest boundary proposal per region pair; `reset` it before use. */
+  val proposals = new LongKeyTable(0)
+
+  /** `Int` buffer number `slot` (`0 until IntBuffers`), with at least
+    * `size` entries. Growing it keeps its contents.
+    */
+  def ints(slot: Int, size: Int): Array[Int] = {
+    val a = intBufs(slot)
+    if (a.length >= size) a
+    else { val b = java.util.Arrays.copyOf(a, SearchSpace.grownSize(a.length, size)); intBufs(slot) = b; b }
+  }
+
+  /** `Double` buffer number `slot` (`0 until DoubleBuffers`), as [[ints]]. */
+  def doubles(slot: Int, size: Int): Array[Double] = {
+    val a = doubleBufs(slot)
+    if (a.length >= size) a
+    else { val b = java.util.Arrays.copyOf(a, SearchSpace.grownSize(a.length, size)); doubleBufs(slot) = b; b }
+  }
+
+  /** `Long` buffer number `slot` (`0 until LongBuffers`), as [[ints]]. */
+  def longs(slot: Int, size: Int): Array[Long] = {
+    val a = longBufs(slot)
+    if (a.length >= size) a
+    else { val b = java.util.Arrays.copyOf(a, SearchSpace.grownSize(a.length, size)); longBufs(slot) = b; b }
+  }
+
+  /** Empties the summary edge set, an insertion-ordered set of edge ids in
+    * `[0, numEdges)`. Membership is an epoch stamp per edge, so clearing
+    * costs O(1).
+    */
+  def clearEdges(numEdges: Int): Unit = {
+    if (edgeMarkAt.length < numEdges) { edgeMarkAt = new Array[Int](numEdges); edgeEpoch = 0 }
+    if (edgeEpoch == Int.MaxValue) { java.util.Arrays.fill(edgeMarkAt, 0); edgeEpoch = 0 }
+    edgeEpoch += 1
+    edgeCount = 0
+  }
+
+  /** Adds edge `e` to the summary edge set; false if it is already in. */
+  def addEdge(e: Int): Boolean =
+    if (edgeMarkAt(e) == edgeEpoch) false
+    else {
+      edgeMarkAt(e) = edgeEpoch
+      if (edgeCount == edgeList.length)
+        edgeList = java.util.Arrays.copyOf(edgeList, SearchSpace.grownSize(edgeCount, edgeCount + 1))
+      edgeList(edgeCount) = e
+      edgeCount += 1
+      true
+    }
+
+  /** The summary edge set in insertion order, as a fresh array that no
+    * later use of this space can change.
+    */
+  def edgeIds: Array[Int] = java.util.Arrays.copyOf(edgeList, edgeCount)
 
   /** Distance from the nearest source (+∞ if unreached). */
   def dist(v: Int): Double = if (reachedAt(v) == epoch) distOf(v) else Double.PositiveInfinity
@@ -376,6 +453,17 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
     }
     top
   }
+}
+
+object SearchSpace {
+  /** Numbers of scratch buffers of each type. */
+  final val IntBuffers = 6
+  final val DoubleBuffers = 2
+  final val LongBuffers = 2
+
+  /** Geometric growth: at least `need`, and at least twice `have`. */
+  private[graph] def grownSize(have: Int, need: Int): Int =
+    math.max(need, math.min(2L * have, Int.MaxValue - 8L).toInt)
 }
 
 object CompactGraph {

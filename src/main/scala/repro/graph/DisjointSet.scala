@@ -3,11 +3,29 @@ package repro.graph
 /** Union–find over dense integer ids `[0, n)` with path compression and
   * union by rank. Used by the Kruskal MST step of Algorithm 1 and by the
   * component merging of the PCST growth (Algorithm 2).
+  *
+  * [[reset]] starts over with `n` singletons, reusing the arrays when they
+  * are large enough, so a per-thread instance serves every summary.
   */
 final class DisjointSet(n: Int) {
-  private val parent = Array.tabulate(n)(identity)
-  private val rank   = new Array[Byte](n)
-  private var nComp  = n
+  private var parent = new Array[Int](n)
+  private var rank   = new Array[Byte](n)
+  private var nComp  = 0
+  reset(n)
+
+  /** Makes `[0, n)` singletons again, growing the arrays geometrically if
+    * they hold fewer than `n` ids.
+    */
+  def reset(n: Int): Unit = {
+    if (parent.length < n) {
+      val size = SearchSpace.grownSize(parent.length, n)
+      parent = new Array[Int](size)
+      rank = new Array[Byte](size)
+    } else java.util.Arrays.fill(rank, 0, n, 0.toByte)
+    var i = 0
+    while (i < n) { parent(i) = i; i += 1 }
+    nComp = n
+  }
 
   /** Representative of `x`'s component (with path compression). */
   def find(x: Int): Int = {

@@ -11,11 +11,18 @@ object IndexSort {
     * sort). Parallel arrays appended in a secondary order are thereby
     * sorted by (key, that order).
     */
-  def byKey(keys: Array[Double], n: Int): Array[Int] = {
-    var perm = new Array[Int](n)
-    var buf = new Array[Int](n)
+  def byKey(keys: Array[Double], n: Int): Array[Int] =
+    byKey(keys, n, new Array[Int](n), new Array[Int](n))
+
+  /** [[byKey]] in caller buffers: `perm` and `buf` each hold at least `n`
+    * ids and their contents are overwritten. Returns whichever of the two
+    * holds the permutation in its first `n` slots.
+    */
+  def byKey(keys: Array[Double], n: Int, perm: Array[Int], buf: Array[Int]): Array[Int] = {
+    var from = perm
+    var to = buf
     var i = 0
-    while (i < n) { perm(i) = i; i += 1 }
+    while (i < n) { from(i) = i; i += 1 }
     var width = 1
     while (width < n) {
       var lo = 0
@@ -25,19 +32,19 @@ object IndexSort {
         var a = lo; var b = mid; var k = lo
         while (k < hi) {
           // Take from the left run unless the right key is strictly smaller.
-          if (b >= hi || (a < mid && java.lang.Double.compare(keys(perm(a)), keys(perm(b))) <= 0)) {
-            buf(k) = perm(a); a += 1
+          if (b >= hi || (a < mid && java.lang.Double.compare(keys(from(a)), keys(from(b))) <= 0)) {
+            to(k) = from(a); a += 1
           } else {
-            buf(k) = perm(b); b += 1
+            to(k) = from(b); b += 1
           }
           k += 1
         }
         lo = hi
       }
-      val t = perm; perm = buf; buf = t
+      val t = from; from = to; to = t
       width *= 2
     }
-    perm
+    from
   }
 
   /** The distinct values of `a(0 until n)`, each at its first occurrence,

@@ -6,23 +6,39 @@ package repro.graph
   * Eq. (1) weight overlay (edge id → weight, path count) and PCST's cheapest
   * boundary proposal per region pair (pair key → cost, edge id); and
   * `KgIndex`'s undirected edge lookup (pair key → edge id).
+  *
+  * [[reset]] empties the table for reuse. The table then uses only the
+  * first `capacity` slots of its arrays, sized for the new expected count,
+  * and clears only those, so a small map in a table once grown for a large
+  * one neither allocates nor pays for the large one's slots.
   */
 final class LongKeyTable(expected: Int) {
   private var keys     = new Array[Long](LongKeyTable.capacityFor(expected))
   private var occupied = new Array[Boolean](keys.length)
   private var doubles  = new Array[Double](keys.length)
   private var ints     = new Array[Int](keys.length)
+  private var slots    = keys.length
   private var count    = 0
 
   def size: Int = count
 
-  /** Number of slots; slots are indexed `0 until capacity`. */
-  def capacity: Int = keys.length
+  /** Number of slots in use; slots are indexed `0 until capacity`. */
+  def capacity: Int = slots
 
   def isOccupied(slot: Int): Boolean = occupied(slot)
   def keyAt(slot: Int): Long = keys(slot)
   def doubleAt(slot: Int): Double = doubles(slot)
   def intAt(slot: Int): Int = ints(slot)
+
+  /** Empties the table and sizes it for `expected` keys, reusing its arrays
+    * when they are large enough.
+    */
+  def reset(expected: Int): Unit = {
+    slots = LongKeyTable.capacityFor(expected)
+    if (slots > keys.length) allocate(slots)
+    else java.util.Arrays.fill(occupied, 0, slots, false)
+    count = 0
+  }
 
   /** The slot holding `key`, or −1 if it is absent. */
   def find(key: Long): Int = {
@@ -34,7 +50,7 @@ final class LongKeyTable(expected: Int) {
   def put(key: Long, d: Double, i: Int): Unit = {
     var s = probe(key)
     if (!occupied(s)) {
-      if (2 * (count + 1) > keys.length) { grow(); s = probe(key) }
+      if (2 * (count + 1) > slots) { grow(); s = probe(key) }
       occupied(s) = true; keys(s) = key; count += 1
     }
     doubles(s) = d; ints(s) = i
@@ -42,20 +58,26 @@ final class LongKeyTable(expected: Int) {
 
   // The slot holding `key`, or the empty slot where it would go.
   private def probe(key: Long): Int = {
-    val mask = keys.length - 1
+    val mask = slots - 1
     var s = LongKeyTable.mix(key) & mask
     while (occupied(s) && keys(s) != key) s = (s + 1) & mask
     s
   }
 
+  private def allocate(n: Int): Unit = {
+    keys = new Array[Long](n)
+    occupied = new Array[Boolean](n)
+    doubles = new Array[Double](n)
+    ints = new Array[Int](n)
+    slots = n
+  }
+
   private def grow(): Unit = {
-    val (k, o, d, i) = (keys, occupied, doubles, ints)
-    keys = new Array[Long](2 * k.length)
-    occupied = new Array[Boolean](keys.length)
-    doubles = new Array[Double](keys.length)
-    ints = new Array[Int](keys.length)
+    val (k, o, d, i, n) = (keys, occupied, doubles, ints, slots)
+    allocate(math.max(2 * n, keys.length)) // never shrinks the arrays
+    slots = 2 * n
     var s = 0
-    while (s < k.length) {
+    while (s < n) {
       if (o(s)) {
         val t = probe(k(s))
         occupied(t) = true; keys(t) = k(s); doubles(t) = d(s); ints(t) = i(s)

@@ -16,6 +16,10 @@ import org.apache.spark.sql.functions._
   * @param gamma exponential decay rate of the recency function (per second)
   * @param t0    "current time" reference for recency (epoch seconds)
   * @param wA    constant relevance weight of external edges
+  *
+  * Construction rejects a negative γ (older interactions would weigh more) and
+  * a non-finite γ, β1, β2 or w_A with an `IllegalArgumentException` naming
+  * the field, on the driver, before any edge weight is computed.
   */
 final case class KGParams(
     beta1: Double = 1.0,
@@ -23,7 +27,12 @@ final case class KGParams(
     gamma: Double = 1.0 / (365.0 * 24 * 3600), // one-year e-fold by default
     t0: Long = 1_046_000_000L,                 // end of the ML1M rating window
     wA: Double = 0.0,
-)
+) {
+  Seq("beta1" -> beta1, "beta2" -> beta2, "gamma" -> gamma, "wA" -> wA).foreach { case (field, v) =>
+    require(java.lang.Double.isFinite(v), s"KGParams.$field must be finite, got $v")
+  }
+  require(gamma >= 0, s"KGParams.gamma must be >= 0, got $gamma")
+}
 
 /** The knowledge-based graph G(V, E, w) as Spark DataFrames.
   *

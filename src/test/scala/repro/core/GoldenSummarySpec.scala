@@ -1,6 +1,8 @@
 package repro.core
 
+import java.lang.management.ManagementFactory
 import repro.SparkSpec
+import repro.graph.EdgeCost
 import repro.kg.{KGBuilder, KgIndex, MLSynth, NodeType}
 import repro.rec.Pgpr
 
@@ -53,6 +55,47 @@ class GoldenSummarySpec extends SparkSpec {
     val serial = tasks.map { case (s, m, k) => Summarizer.summarize(idx, s, m, k) }
     assert(tasks.size == 26 * methods.size)
     assert(fingerprint(serial) == Golden)
+  }
+
+  test("serial runs in reverse and largest-first order on one thread give the same fingerprint") {
+    // The kernels reuse one thread's scratch across summaries: these orders
+    // run every summary after larger or differently shaped ones.
+    val largestFirst = tasks.sortBy { case (s, _, _) => -s.terminals.length }
+    for (order <- Seq(tasks.reverse, largestFirst)) {
+      val serial = order.map { case (s, m, k) => Summarizer.summarize(idx, s, m, k) }
+      assert(fingerprint(serial) == Golden)
+    }
+  }
+
+  test("a repeated ST or PCST summary allocates less than a closure-sized double[]") {
+    val g = idx.graph
+    val group = tasks.collectFirst { case (s: UserGroup, _, _) if s.groupId == "g8" => s }.get
+    val terms = group.terminals.map(g.find).filter(_ >= 0).distinct
+    val n = terms.length.toLong
+    // One double per terminal pair: what ST's metric closure distances
+    // alone take if allocated per summary. A proposal table presized per
+    // summary to at least 2·n(n−1)/2 slots of 21 bytes is larger still.
+    // With the per-thread scratch warm, a summary allocates only its
+    // Θ(|T|) deduplicated terminals and its result.
+    val bound = 8 * n * (n - 1) / 2
+    val wMax = g.edgeWeight.max
+    val stCost: EdgeCost = (e: Int) => (wMax - g.edgeWeight(e)) + Summarizer.Delta
+    val pcstCost = EdgeCost.uniform(0.25)
+    val prizes = Array.fill(terms.length)(1.0)
+    val bean = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    def allocated(run: => TreeResult): Long = {
+      val before = bean.getCurrentThreadAllocatedBytes
+      run
+      bean.getCurrentThreadAllocatedBytes - before
+    }
+    SteinerTree.summarize(g, stCost, terms)
+    Pcst.summarize(g, pcstCost, terms, prizes)
+    val st = allocated(SteinerTree.summarize(g, stCost, terms))
+    val pcst = allocated(Pcst.summarize(g, pcstCost, terms, prizes))
+    info(s"|T| = $n: ST allocated $st B, PCST $pcst B, bound $bound B")
+    assert(n >= 20, s"|T| = $n")
+    assert(st < bound, s"ST allocated $st bytes, bound $bound (|T| = $n)")
+    assert(pcst < bound, s"PCST allocated $pcst bytes, bound $bound (|T| = $n)")
   }
 
   test("summarizeBatch over parallel executor threads gives the same fingerprint") {

@@ -83,6 +83,16 @@ class PcstSpec extends AnyFunSuite with PropSupport {
     assert(r.edgeIds.length == 3)
   }
 
+  test("a held result is unchanged by a larger ST summary on the same thread") {
+    val g = CompactGraph.fromTriples((0L until 30L).map(i => (i, i + 1, 1.0)))
+    val held = Pcst.summarize(g, unit, Array(0, 3).map(g.indexOf(_)), Array(1.0, 1.0))
+    val before = held.edgeIds.clone()
+    val other = SteinerTree.summarize(g, EdgeCost.fromArray(g.edgeWeight),
+      (10 until 31 by 2).map(g.indexOf(_)).toArray)
+    assert(other.edgeIds.length > held.edgeIds.length)
+    assert(held.edgeIds.sameElements(before))
+  }
+
   test("property: accepted structure only connects terminals whose budget paid") {
     checkProp(Prop.forAll(TestGraphs.randomGraphGen(15)) { triples =>
       val g = CompactGraph.fromTriples(triples)

@@ -120,14 +120,27 @@ class SteinerTreeSpec extends AnyFunSuite with PropSupport {
     }, minTests = 40)
   }
 
-  test("property: summary edge set is acyclic or near-tree (|E| <= sum of path lengths)") {
+  test("property: summary edge set is a forest") {
     checkProp(Prop.forAll(TestGraphs.randomGraphGen(12)) { triples =>
       val g = CompactGraph.fromTriples(triples)
       val terms = (0 until math.min(4, g.numVertices)).toArray
       val r = SteinerTree.summarize(g, byWeight(g), terms)
       val nodes = r.edgeIds.flatMap(e => Seq(g.edgeSrc(e), g.edgeDst(e))).toSet
-      // KMB unions shortest paths; the union stays within |V_S| + |T| edges.
-      r.edgeIds.length <= nodes.size + terms.length
+      val ds = new DisjointSet(g.numVertices)
+      r.edgeIds.foreach(e => ds.union(g.edgeSrc(e), g.edgeDst(e)))
+      val components = nodes.map(ds.find).size
+      // KMB unions shortest paths; the union must be a forest on V_S.
+      r.edgeIds.length == nodes.size - components
     }, minTests = 40)
+  }
+
+  test("a held result is unchanged by a larger PCST summary on the same thread") {
+    val g = CompactGraph.fromTriples((0L until 30L).map(i => (i, i + 1, 1.0)))
+    val held = SteinerTree.summarize(g, byWeight(g), Array(0, 3).map(g.indexOf(_)))
+    val before = held.edgeIds.clone()
+    val other = Pcst.summarize(g, EdgeCost.uniform(0.25), (10 until 31 by 2).map(g.indexOf(_)).toArray,
+      Array.fill(11)(1.0))
+    assert(other.edgeIds.length > held.edgeIds.length)
+    assert(held.edgeIds.sameElements(before))
   }
 }

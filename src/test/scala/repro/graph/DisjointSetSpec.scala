@@ -57,6 +57,23 @@ class DisjointSetSpec extends AnyFunSuite with PropSupport {
     })
   }
 
+  test("property: reset over reused arrays behaves as a fresh set") {
+    val round = for {
+      n <- Gen.choose(0, 40)
+      pairs <- Gen.listOf(Gen.zip(Gen.choose(0, 39), Gen.choose(0, 39)))
+    } yield (n, pairs.filter { case (a, b) => a < n && b < n })
+    checkProp(Prop.forAll(Gen.listOf(round)) { rounds =>
+      val reused = new DisjointSet(3)
+      rounds.forall { case (n, pairs) =>
+        reused.reset(n)
+        val fresh = new DisjointSet(n)
+        pairs.forall { case (a, b) => reused.union(a, b) == fresh.union(a, b) } &&
+          reused.components == fresh.components &&
+          (0 until n).forall(v => (0 until n).forall(w => reused.connected(v, w) == fresh.connected(v, w)))
+      }
+    })
+  }
+
   test("property: connectivity matches a reference BFS over union edges") {
     val gen = for {
       n <- Gen.choose(2, 20)

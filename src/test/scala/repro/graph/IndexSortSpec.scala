@@ -33,7 +33,11 @@ class IndexSortSpec extends AnyFunSuite with PropSupport {
       val dist = new Array[Double](pairs.length + 3)
       pairs.indices.foreach(p => dist(p) = pairs(p)._1)
       val order = IndexSort.byKey(dist, pairs.length)
-      order.map(pairs(_)).toSeq == pairs.sorted(byClosure)
+      // The same order in caller buffers that are larger and hold stale ids.
+      val inBuffers = IndexSort.byKey(dist, pairs.length,
+        Array.fill(pairs.length + 5)(7), Array.fill(pairs.length + 2)(-1))
+      order.map(pairs(_)).toSeq == pairs.sorted(byClosure) &&
+        inBuffers.take(pairs.length).sameElements(order)
     }, minTests = 200)
   }
 

@@ -90,6 +90,34 @@ class KGBuilderSpec extends SparkSpec {
       "ratings" -> tinyTables.ratings)
   }
 
+  private def rejects(field: String, params: => KGParams): Unit = {
+    val e = intercept[IllegalArgumentException](params)
+    assert(e.getMessage.contains(s"KGParams.$field"), e.getMessage)
+  }
+
+  private val nonFinite = Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)
+
+  test("KGParams rejects a negative gamma") {
+    rejects("gamma", KGParams(gamma = -1e-9))
+    assert(KGParams(gamma = 0.0).gamma == 0.0)
+  }
+
+  test("KGParams rejects a non-finite gamma") {
+    nonFinite.foreach(v => rejects("gamma", KGParams(gamma = v)))
+  }
+
+  test("KGParams rejects a non-finite beta1") {
+    nonFinite.foreach(v => rejects("beta1", KGParams(beta1 = v)))
+  }
+
+  test("KGParams rejects a non-finite beta2") {
+    nonFinite.foreach(v => rejects("beta2", KGParams(beta2 = v)))
+  }
+
+  test("KGParams rejects a non-finite wA") {
+    nonFinite.foreach(v => rejects("wA", KGParams(wA = v)))
+  }
+
   test("node ids are globally unique across types") {
     val kg = KGBuilder.build(spark, tinyTables)
     assert(kg.nodes.select("id").distinct().count() == kg.nodes.count())
