@@ -22,7 +22,7 @@ object MetricsJob {
       val tables = if (dataset == "lfm1m") MLSynth.lfm1m(spark, scale) else MLSynth.ml1m(spark, scale)
       val kg = KGBuilder.build(spark, tables)
       val kgIdx = KgIndex.fromKGraph(kg)
-      val recs = PathRecommender.all.filter(r => recNames.contains(r.name))
+      val recs = PathRecommender.baselines.filter(r => recNames.contains(r.name))
       val cfg = Harness.Config(usersPerGender = 40, itemsHalf = 25, spreadUserPool = 400)
       recs.foreach { rec =>
         val out = Harness.run(spark, kg, kgIdx, rec, cfg)

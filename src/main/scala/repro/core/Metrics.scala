@@ -85,18 +85,4 @@ object Metrics {
     if (s.nodes.isEmpty) return 1.0
     1.0 - s.nodes.count(NodeIds.isUser).toDouble / s.nodes.length
   }
-
-  /** All per-subgraph metrics as (name → value); consistency is computed
-    * across k by the harness, performance by the summarizer timers.
-    */
-  def all(s: Subgraph): Map[String, Double] = Map(
-    "comprehensibility" -> comprehensibility(s),
-    "actionability"     -> actionability(s),
-    "diversity"         -> diversity(s),
-    "redundancy"        -> redundancy(s),
-    "relevance"         -> relevance(s),
-    "privacy"           -> privacy(s),
-    "edges"             -> s.edges.length.toDouble,
-    "nodes"             -> s.nodes.length.toDouble,
-  )
 }

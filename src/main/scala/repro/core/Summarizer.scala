@@ -22,15 +22,23 @@ object Summarizer {
 
   sealed trait Method extends Serializable { def label: String }
 
-  /** Algorithm 1 with Eq. (1) path-frequency boosting at strength λ. */
+  /** Algorithm 1 with Eq. (1) path-frequency boosting at strength λ.
+    * A non-finite λ would make every edge cost +∞ or NaN, so it is
+    * rejected here, on the driver, naming the field.
+    */
   final case class ST(lambda: Double) extends Method {
+    require(java.lang.Double.isFinite(lambda), s"ST.lambda must be finite, got $lambda")
     override def label: String = s"st(λ=$lambda)"
   }
 
   /** Algorithm 2 in the paper's experimental configuration: edge weights
-    * ignored (uniform `edgeCost`), prize 1 per terminal, 0 elsewhere.
+    * ignored (uniform `edgeCost`), prize 1 per terminal, 0 elsewhere. The
+    * search needs every cost > 0, so a non-finite or non-positive
+    * `edgeCost` is rejected here, naming the field.
     */
   final case class PCST(edgeCost: Double = 0.25) extends Method {
+    require(java.lang.Double.isFinite(edgeCost), s"PCST.edgeCost must be finite, got $edgeCost")
+    require(edgeCost > 0, s"PCST.edgeCost must be > 0, got $edgeCost")
     override def label: String = "pcst"
   }
 

@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.graph.LongKeyTable
 import repro.kg.KgIndex
 import repro.rec.ExplanationPath
@@ -17,35 +15,12 @@ import repro.rec.ExplanationPath
   * contains `e`. λ = 0 nullifies the input paths; λ = 100 makes the
   * summary follow them almost exclusively.
   *
-  * Two implementations with identical semantics:
-  *   - [[adjustedEdges]]: the DataFrame pipeline (oracle-checked vs DuckDB);
-  *   - [[overlayTable]]: the per-summary kernel form — a sparse edge-id →
-  *     weight overlay on the broadcast CSR graph, since only path edges
-  *     change ([[overlay]] copies it into a `HashMap`).
+  * [[overlayTable]] is the per-summary kernel form: a sparse edge-id →
+  * weight overlay on the broadcast CSR graph, since only path edges change.
+  * [[overlay]] copies it into a `HashMap` for the benchmark's replay; the
+  * tests check both against a DataFrame form of the formula and DuckDB.
   */
 object WeightAdjust {
-
-  /** DataFrame form. `edges` must have (src, dst, weight); `pathHops` must
-    * have (path_id, src, dst), one row per hop of each explanation path
-    * (hop orientation may be the reverse of the stored edge — both are
-    * matched, as summaries are weakly-connected subgraphs).
-    * Returns `edges` with an extra column `adj_weight`.
-    */
-  def adjustedEdges(edges: DataFrame, pathHops: DataFrame, anchors: Long, lambda: Double): DataFrame = {
-    val freq = pathHops
-      .select(col("path_id"),
-        least(col("src"), col("dst")) as "a", greatest(col("src"), col("dst")) as "b")
-      .distinct() // an edge counts once per path
-      .groupBy(col("a"), col("b"))
-      .agg(count(lit(1)) as "n_paths")
-    edges
-      .withColumn("a", least(col("src"), col("dst")))
-      .withColumn("b", greatest(col("src"), col("dst")))
-      .join(freq, Seq("a", "b"), "left")
-      .withColumn("adj_weight",
-        col("weight") * (lit(1.0) + lit(lambda) * coalesce(col("n_paths"), lit(0L)) / lit(anchors.toDouble)))
-      .drop("a", "b", "n_paths")
-  }
 
   /** Kernel form: sparse overlay edge id → (adjusted weight, number of
     * paths containing the edge), holding only the edges that occur in

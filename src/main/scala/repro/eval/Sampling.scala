@@ -3,9 +3,10 @@ package repro.eval
 import org.apache.spark.sql.functions._
 import repro.kg.{KGraph, NodeIds}
 
-/** The paper's user/item sampling (§V-A): 100 male + 100 female users
-  * "preserving the original rating distribution", and 100 items split
-  * between the 50 most and 50 least popular.
+/** The paper's user sampling (§V-A): 100 male + 100 female users
+  * "preserving the original rating distribution", plus the wider user pool
+  * of the item-centric scenarios. The item sample (the 50 most and 50 least
+  * popular items) needs the recommenders' output, so `Harness.run` draws it.
   */
 object Sampling {
 
@@ -32,19 +33,6 @@ object Sampling {
       }
     }
     (pick("M"), pick("F"))
-  }
-
-  /** (50 most, 50 least) popular items by rating count, as node ids.
-    * Only items with at least one rating are considered (an unrated item
-    * has no user-item path to explain).
-    */
-  def sampleItems(kg: KGraph, half: Int): (Seq[Long], Seq[Long]) = {
-    val counts = kg.edges.filter(col("etype") === "user-item")
-      .groupBy(col("dst") as "id").agg(count(lit(1)) as "n")
-      .collect()
-      .map(r => (r.getLong(0), r.getLong(1)))
-    val byPop = counts.sortBy { case (id, n) => (-n, id) }.map(_._1)
-    (byPop.take(half).toSeq, byPop.reverse.take(half).toSeq)
   }
 
   /** Evenly spread `n` user node ids over the population — the wider pool

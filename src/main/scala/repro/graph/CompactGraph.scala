@@ -10,9 +10,6 @@ trait EdgeCost extends Serializable { def apply(edge: Int): Double }
 object EdgeCost {
   /** Uniform cost `c` for every edge (the paper's unweighted PCST setting). */
   def uniform(c: Double): EdgeCost = (_: Int) => c
-
-  /** Cost from a dense array (one entry per edge). */
-  def fromArray(a: Array[Double]): EdgeCost = (e: Int) => a(e)
 }
 
 /** Result of a single-source Dijkstra run: `dist(v)` is the shortest-path
@@ -152,13 +149,6 @@ final class CompactGraph(
     }
   }
 
-  /** [[search]] from `sources` with the settle-set `targets` (null or empty
-    * for a full search); `owner` then indexes `sources`.
-    */
-  def search(ws: SearchSpace, sources: Array[Int], cost: EdgeCost, targets: Array[Int],
-             maxDist: Double): Unit =
-    search(ws, if (targets == null) sources else sources ++ targets, 0, sources.length, cost, maxDist)
-
   /** Single-source Dijkstra: [[search]] from `source`, copied out of the
     * calling thread's workspace.
     *
@@ -166,24 +156,10 @@ final class CompactGraph(
     */
   def dijkstra(source: Int, cost: EdgeCost, targets: Array[Int] = null): SsspResult = {
     val ws = workspace
-    search(ws, Array(source), cost, targets, Double.PositiveInfinity)
+    val terms = if (targets == null) Array(source) else source +: targets
+    search(ws, terms, 0, 1, cost, Double.PositiveInfinity)
     val (dist, predArc, _) = copyOut(ws)
     SsspResult(source, dist, predArc)
-  }
-
-  /** Walk the predecessor arcs from `v` back to the SSSP source, returning
-    * the edge ids of the shortest path in source→v order.
-    */
-  def pathEdges(res: SsspResult, v: Int): List[Int] = {
-    var path = List.empty[Int]
-    var cur = v
-    while (res.predArc(cur) != -1) {
-      val e = arcEdge(res.predArc(cur))
-      path = e :: path
-      cur = otherEnd(e, cur)
-    }
-    require(cur == res.source || path.isEmpty, "predecessor walk did not reach the source")
-    path
   }
 
   /** Number of edges on the shortest path from the last [[search]]'s
@@ -224,7 +200,7 @@ final class CompactGraph(
   def voronoi(sources: Array[Int], cost: EdgeCost,
               maxDist: Double = Double.PositiveInfinity): (Array[Double], Array[Int], Array[Int]) = {
     val ws = workspace
-    search(ws, sources, cost, null, maxDist)
+    search(ws, sources, 0, sources.length, cost, maxDist)
     copyOut(ws)
   }
 

@@ -1,6 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions._
 import repro.kg.KGraph
 
@@ -64,15 +64,5 @@ object GraphStats {
       avgPathLength = if (nPairs == 0) 0.0 else sumDist / nPairs,
       diameter = diameter,
     )
-  }
-
-  /** Degree distribution via GraphX — used to cross-check the DataFrame
-    * aggregation (and to exercise the GraphX build path end-to-end).
-    */
-  def graphxDegrees(spark: SparkSession, edges: DataFrame): Map[Long, Int] = {
-    import org.apache.spark.graphx.{Edge, Graph}
-    val rdd = edges.selectExpr("cast(src as long)", "cast(dst as long)")
-      .rdd.map(r => Edge(r.getLong(0), r.getLong(1), 1.0))
-    Graph.fromEdges(rdd, 0).degrees.collect().map { case (id, d) => id -> d }.toMap
   }
 }

@@ -10,13 +10,10 @@ object IndexSort {
     * `java.lang.Double.compare`, tied keys in index order (a stable merge
     * sort). Parallel arrays appended in a secondary order are thereby
     * sorted by (key, that order).
-    */
-  def byKey(keys: Array[Double], n: Int): Array[Int] =
-    byKey(keys, n, new Array[Int](n), new Array[Int](n))
-
-  /** [[byKey]] in caller buffers: `perm` and `buf` each hold at least `n`
-    * ids and their contents are overwritten. Returns whichever of the two
-    * holds the permutation in its first `n` slots.
+    *
+    * It runs in caller buffers: `perm` and `buf` each hold at least `n` ids
+    * and their contents are overwritten. Returns whichever of the two holds
+    * the permutation in its first `n` slots.
     */
   def byKey(keys: Array[Double], n: Int, perm: Array[Int], buf: Array[Int]): Array[Int] = {
     var from = perm

@@ -17,7 +17,7 @@ object NodeType {
 }
 
 /** Global node-id scheme: node type is encoded in the id range so that
-  * every component (DataFrames, CSR kernels, GraphX) can classify a node
+  * every component (DataFrames, CSR kernels) can classify a node
   * without a join. Users are 1-based within their range.
   */
 object NodeIds {

@@ -17,13 +17,15 @@ import repro.kg.{KgIndex, NodeType}
   * candidates get a score boost. Fine step: per template, the best-weight
   * completions are enumerated. Deterministic; all hops are valid KG edges.
   */
-final class Cafe(ratedFan: Int = 10, midFan: Int = 8, leafFan: Int = 8) extends PathRecommender {
+final class Cafe extends PathRecommender {
+  import Cafe._
+
   override def name: String = "cafe"
 
   override def recommend(kg: KgIndex, userIdx: Int, k: Int, seed: Long): Seq[ExplanationPath] = {
     val g = kg.graph
     val rated = kg.ratedItemSet(userIdx)
-    val topRated = kg.ratedItems(userIdx).take(ratedFan)
+    val topRated = kg.ratedItems(userIdx).take(RatedFan)
 
     // Coarse step: entity-richness of the user's profile decides the
     // preferred template.
@@ -48,11 +50,11 @@ final class Cafe(ratedFan: Int = 10, midFan: Int = 8, leafFan: Int = 8) extends 
       val w1 = g.edgeWeight(e1)
 
       // T1: via a co-rating user.
-      val coUsers = neighborsOf(kg, i1, NodeType.User, midFan, byWeight = true)
+      val coUsers = neighborsOf(kg, i1, NodeType.User, MidFan, byWeight = true)
         .filter(_._1 != userIdx)
       coUsers.foreach { case (u2, e2) =>
         val w2 = g.edgeWeight(e2)
-        neighborsOf(kg, u2, NodeType.Item, leafFan, byWeight = true).foreach { case (i2, e3) =>
+        neighborsOf(kg, u2, NodeType.Item, LeafFan, byWeight = true).foreach { case (i2, e3) =>
           if (i2 != i1 && !rated.contains(i2))
             offer(i2, Vector(userIdx, i1, u2, i2), w1 + w2 + g.edgeWeight(e3) + boostT1)
         }
@@ -61,8 +63,8 @@ final class Cafe(ratedFan: Int = 10, midFan: Int = 8, leafFan: Int = 8) extends 
       // T2: via a shared external entity. External edges have w_A = 0, so
       // the fine step ranks entities and related items by hub degree, as
       // CAFE's symbolic module ranks by embedding affinity.
-      neighborsOf(kg, i1, NodeType.External, midFan, byWeight = false).foreach { case (x, _) =>
-        neighborsOf(kg, x, NodeType.Item, leafFan, byWeight = false).foreach { case (i2, _) =>
+      neighborsOf(kg, i1, NodeType.External, MidFan, byWeight = false).foreach { case (x, _) =>
+        neighborsOf(kg, x, NodeType.Item, LeafFan, byWeight = false).foreach { case (i2, _) =>
           if (i2 != i1 && !rated.contains(i2)) {
             val pop = 1e-3 * math.log1p(g.degree(i2).toDouble)
             offer(i2, Vector(userIdx, i1, x, i2), w1 + pop + boostT2)
@@ -71,14 +73,7 @@ final class Cafe(ratedFan: Int = 10, midFan: Int = 8, leafFan: Int = 8) extends 
       }
     }
 
-    best.toSeq
-      .sortBy { case (item, (_, score)) => (-score, item) }
-      .take(k)
-      .zipWithIndex
-      .map { case ((_, (path, _)), i) =>
-        val nodes = path.map(g.ids)
-        ExplanationPath(nodes.head, nodes.last, i + 1, nodes)
-      }
+    PathRecommender.topK(g, best, k)
   }
 
   /** Top neighbours of `v` of type `t`, ranked by edge weight or degree. */
@@ -92,4 +87,15 @@ final class Cafe(ratedFan: Int = 10, midFan: Int = 8, leafFan: Int = 8) extends 
       else buf.sortBy { case (u, _) => (-g.degree(u), u) }
     sorted.take(limit).toSeq
   }
+}
+
+object Cafe {
+  /** The user's top-rated items each template starts from. */
+  final val RatedFan = 10
+
+  /** Co-rating users or shared entities per rated item. */
+  final val MidFan = 8
+
+  /** Completing items per co-rating user or entity. */
+  final val LeafFan = 8
 }

@@ -2,6 +2,7 @@ package repro.rec
 
 import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
+import repro.graph.CompactGraph
 import repro.kg.KgIndex
 
 /** A recommender that outputs top-k item recommendations *with* path-based
@@ -25,7 +26,7 @@ trait PathRecommender extends Serializable {
 
 object PathRecommender {
   /** All baselines used in the paper's evaluation. */
-  def all: Seq[PathRecommender] = Seq(new Pgpr, new Cafe, new Plm, new Pearlm)
+  def baselines: Seq[PathRecommender] = Seq(new Pgpr, new Cafe, new Plm, new Pearlm)
 
   /** Compute top-k lists for many users in parallel: the graph index is
     * broadcast once, users fan out over executors (DESIGN.md §3).
@@ -42,4 +43,19 @@ object PathRecommender {
       .collect()
       .toMap
   }
+
+  /** The simulators' shared last step: from the best-scoring path per
+    * candidate item (vertex indices from the user to the item, and its
+    * score), the top `k` items by (−score, item), ranked from 1.
+    */
+  private[rec] def topK(g: CompactGraph, best: Iterable[(Int, (Seq[Int], Double))],
+                        k: Int): Seq[ExplanationPath] =
+    best.toSeq
+      .sortBy { case (item, (_, score)) => (-score, item) }
+      .take(k)
+      .zipWithIndex
+      .map { case ((_, (path, _)), i) =>
+        val nodes = path.map(g.ids(_)).toVector
+        ExplanationPath(nodes.head, nodes.last, i + 1, nodes)
+      }
 }

@@ -12,7 +12,9 @@ import repro.kg.{KgIndex, NodeType}
   * with a deterministic beam search maximising cumulative edge weight
   * (see DESIGN.md §2).
   */
-final class Pgpr(beamWidth: Int = 24, fanout: Int = 12) extends PathRecommender {
+final class Pgpr extends PathRecommender {
+  import Pgpr._
+
   override def name: String = "pgpr"
 
   override def recommend(kg: KgIndex, userIdx: Int, k: Int, seed: Long): Seq[ExplanationPath] = {
@@ -30,7 +32,7 @@ final class Pgpr(beamWidth: Int = 24, fanout: Int = 12) extends PathRecommender 
       beam.foreach { case (path, score) =>
         val u = path.head
         val visited = path.toSet
-        // Expand the top-`fanout` neighbours by edge weight; external edges
+        // Expand the top-`Fanout` neighbours by edge weight; external edges
         // carry w_A = 0, so break their ties by hub degree — PGPR's learned
         // embeddings likewise favour well-connected entities.
         val cand = scala.collection.mutable.ArrayBuffer.empty[(Int, Double, Double)]
@@ -39,7 +41,7 @@ final class Pgpr(beamWidth: Int = 24, fanout: Int = 12) extends PathRecommender 
             cand += ((v, g.edgeWeight(e), g.degree(v).toDouble))
         }
         cand.sortBy { case (v, w, d) => (-w, -d, v) }
-          .take(fanout)
+          .take(Fanout)
           .foreach { case (v, w, d) =>
             val np = v :: path
             val ns = score + w + 1e-6 * math.log1p(d)
@@ -50,16 +52,17 @@ final class Pgpr(beamWidth: Int = 24, fanout: Int = 12) extends PathRecommender 
             }
           }
       }
-      beam = next.sortBy { case (p, s) => (-s, p.head) }.take(beamWidth).toVector
+      beam = next.sortBy { case (p, s) => (-s, p.head) }.take(BeamWidth).toVector
     }
 
-    best.toSeq
-      .sortBy { case (item, (_, score)) => (-score, item) }
-      .take(k)
-      .zipWithIndex
-      .map { case ((_, (revPath, _)), i) =>
-        val nodes = revPath.reverse.map(v => g.ids(v)).toVector
-        ExplanationPath(g.ids(userIdx), nodes.last, i + 1, nodes)
-      }
+    PathRecommender.topK(g, best.view.mapValues { case (revPath, score) => (revPath.reverse, score) }, k)
   }
+}
+
+object Pgpr {
+  /** Partial paths kept after each hop. */
+  final val BeamWidth = 24
+
+  /** Neighbours each partial path expands to. */
+  final val Fanout = 12
 }

@@ -17,7 +17,7 @@ import repro.kg.{KgIndex, NodeType}
   * instead of the actual neighbour list (PLM), with η = 0 every hop is a
   * KG edge (PEARLM). Deterministic in (user, seed).
   */
-abstract class LmPathRecommender(val eta: Double, samples: Int = 300) extends PathRecommender {
+abstract class LmPathRecommender(val eta: Double) extends PathRecommender {
 
   override def recommend(kg: KgIndex, userIdx: Int, k: Int, seed: Long): Seq[ExplanationPath] = {
     val g = kg.graph
@@ -29,7 +29,7 @@ abstract class LmPathRecommender(val eta: Double, samples: Int = 300) extends Pa
     val best = scala.collection.mutable.HashMap.empty[Int, (Vector[Int], Double)]
 
     var s = 0
-    while (s < samples) {
+    while (s < LmPathRecommender.Samples) {
       // Hop 1: a rated item, weight-proportional (the LM has seen the
       // user's high-rating interactions most often).
       val i1 = weightedRated(g, ratedArr, rng)
@@ -51,14 +51,7 @@ abstract class LmPathRecommender(val eta: Double, samples: Int = 300) extends Pa
       s += 1
     }
 
-    best.toSeq
-      .sortBy { case (item, (_, score)) => (-score, item) }
-      .take(k)
-      .zipWithIndex
-      .map { case ((_, (path, _)), i) =>
-        val nodes = path.map(g.ids)
-        ExplanationPath(nodes.head, nodes.last, i + 1, nodes)
-      }
+    PathRecommender.topK(g, best, k)
   }
 
   private def weightedRated(g: repro.graph.CompactGraph,
@@ -96,6 +89,11 @@ abstract class LmPathRecommender(val eta: Double, samples: Int = 300) extends Pa
       if (buf.isEmpty) None else Some(buf(rng.nextInt(buf.length)))
     }
   }
+}
+
+object LmPathRecommender {
+  /** U→I→X→I paths drawn per user. */
+  final val Samples = 300
 }
 
 /** Simulated PLM-Rec: η = 0.3 of hops are generated beyond the KG topology. */

@@ -87,7 +87,7 @@ class PcstSpec extends AnyFunSuite with PropSupport {
     val g = CompactGraph.fromTriples((0L until 30L).map(i => (i, i + 1, 1.0)))
     val held = Pcst.summarize(g, unit, Array(0, 3).map(g.indexOf(_)), Array(1.0, 1.0))
     val before = held.edgeIds.clone()
-    val other = SteinerTree.summarize(g, EdgeCost.fromArray(g.edgeWeight),
+    val other = SteinerTree.summarize(g, (e: Int) => g.edgeWeight(e),
       (10 until 31 by 2).map(g.indexOf(_)).toArray)
     assert(other.edgeIds.length > held.edgeIds.length)
     assert(held.edgeIds.sameElements(before))

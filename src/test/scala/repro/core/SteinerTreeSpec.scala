@@ -7,7 +7,7 @@ import repro.graph.{CompactGraph, DisjointSet, EdgeCost, TestGraphs}
 
 class SteinerTreeSpec extends AnyFunSuite with PropSupport {
 
-  private def byWeight(g: CompactGraph): EdgeCost = EdgeCost.fromArray(g.edgeWeight)
+  private def byWeight(g: CompactGraph): EdgeCost = (e: Int) => g.edgeWeight(e)
 
   private def treeCost(g: CompactGraph, cost: EdgeCost, r: TreeResult): Double =
     r.edgeIds.map(cost(_)).sum

@@ -73,6 +73,49 @@ class SummarizerSpec extends SparkSpec {
     assert(!r.nodes.contains(ghostItem))
   }
 
+  test("a scenario whose terminals are all outside G gives an empty summary") {
+    val ghostUser = repro.kg.NodeIds.user(999)
+    val ghostItems = Seq(997L, 998L, 999L).map(repro.kg.NodeIds.item)
+    val noPaths = Seq(UserCentric(ghostUser, Seq.empty), ItemGroup("ghosts", ghostItems, Seq.empty))
+    // Hops between ghosts are no edges of G, so the tree kernels have
+    // nothing to connect (Paths shows such hops as they are).
+    val ghostPaths = UserCentric(ghostUser, Seq(repro.rec.ExplanationPath(
+      ghostUser, ghostItems.head, 1, Vector(ghostUser, ghostItems.head))))
+    val runs = (for (sc <- noPaths; m <- Seq(Summarizer.Paths, Summarizer.ST(1.0), Summarizer.PCST()))
+      yield (sc, m)) ++ Seq(Summarizer.ST(1.0), Summarizer.PCST()).map(m => (ghostPaths, m))
+    runs.foreach { case (sc, m) =>
+      assert(sc.terminals.forall(t => !exampleIdx.graph.contains(t)))
+      val s = Summarizer.summarize(exampleIdx, sc, m).subgraph
+      assert(s.edges.isEmpty && s.allEdges.isEmpty && s.nodes.isEmpty, s"${sc.id} ${m.label}")
+    }
+  }
+
+  test("ST rejects a NaN lambda, naming the field") {
+    val err = intercept[IllegalArgumentException](Summarizer.ST(Double.NaN))
+    assert(err.getMessage.contains("ST.lambda"), err.getMessage)
+  }
+
+  test("ST rejects an infinite lambda, naming the field") {
+    Seq(Double.PositiveInfinity, Double.NegativeInfinity).foreach { l =>
+      val err = intercept[IllegalArgumentException](Summarizer.ST(l))
+      assert(err.getMessage.contains("ST.lambda"), err.getMessage)
+    }
+  }
+
+  test("PCST rejects a NaN or infinite edge cost, naming the field") {
+    Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity).foreach { c =>
+      val err = intercept[IllegalArgumentException](Summarizer.PCST(c))
+      assert(err.getMessage.contains("PCST.edgeCost"), err.getMessage)
+    }
+  }
+
+  test("PCST rejects a zero or negative edge cost, naming the field") {
+    Seq(0.0, -0.0, -0.25).foreach { c =>
+      val err = intercept[IllegalArgumentException](Summarizer.PCST(c))
+      assert(err.getMessage.contains("PCST.edgeCost"), err.getMessage)
+    }
+  }
+
   test("batch API matches serial summarize on ML1M-sim scenarios") {
     val rec = new Pgpr
     val g = mlIdx.graph

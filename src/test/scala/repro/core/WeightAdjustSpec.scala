@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop}
 import repro.{Oracle, PropSupport, SparkSpec}
@@ -139,7 +140,7 @@ class WeightAdjustSpec extends SparkSpec with PropSupport {
     val hops = paths.zipWithIndex.flatMap { case (p, i) =>
       p.hops.map { case (a, b) => (i.toLong, a, b) }
     }.toDF("path_id", "src", "dst")
-    val adj = WeightAdjust.adjustedEdges(kg.edges, hops, anchors = 3, lambda = 2.0)
+    val adj = WeightAdjustSpec.adjustedEdges(kg.edges, hops, anchors = 3, lambda = 2.0)
       .select("src", "dst", "adj_weight").collect()
       .map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2)).toMap
 
@@ -164,7 +165,7 @@ class WeightAdjustSpec extends SparkSpec with PropSupport {
     val hops = paths.zipWithIndex.flatMap { case (p, i) =>
       p.hops.map { case (a, b) => (i.toLong, a, b) }
     }.toDF("path_id", "src", "dst")
-    val sparkDf = WeightAdjust.adjustedEdges(kg.edges, hops, anchors = 3, lambda = 2.0)
+    val sparkDf = WeightAdjustSpec.adjustedEdges(kg.edges, hops, anchors = 3, lambda = 2.0)
       .select(col("src"), col("dst"), round(col("adj_weight"), 6) as "w")
     Oracle.assertEquivalent(sparkDf,
       """SELECT e.src, e.dst,
@@ -178,5 +179,31 @@ class WeightAdjustSpec extends SparkSpec with PropSupport {
         |) f ON LEAST(CAST(e.src AS BIGINT), CAST(e.dst AS BIGINT)) = f.a
         |   AND GREATEST(CAST(e.src AS BIGINT), CAST(e.dst AS BIGINT)) = f.b""".stripMargin,
       "edges" -> kg.edges.select("src", "dst", "weight"), "hops" -> hops)
+  }
+}
+
+object WeightAdjustSpec {
+
+  /** Eq. (1) as a DataFrame pipeline, the twin of `WeightAdjust.overlay`
+    * that the DuckDB oracle checks. `edges` must have (src, dst, weight);
+    * `pathHops` must have (path_id, src, dst), one row per hop of each
+    * explanation path (hop orientation may be the reverse of the stored
+    * edge — both are matched, as summaries are weakly-connected subgraphs).
+    * Returns `edges` with an extra column `adj_weight`.
+    */
+  def adjustedEdges(edges: DataFrame, pathHops: DataFrame, anchors: Long, lambda: Double): DataFrame = {
+    val freq = pathHops
+      .select(col("path_id"),
+        least(col("src"), col("dst")) as "a", greatest(col("src"), col("dst")) as "b")
+      .distinct() // an edge counts once per path
+      .groupBy(col("a"), col("b"))
+      .agg(count(lit(1)) as "n_paths")
+    edges
+      .withColumn("a", least(col("src"), col("dst")))
+      .withColumn("b", greatest(col("src"), col("dst")))
+      .join(freq, Seq("a", "b"), "left")
+      .withColumn("adj_weight",
+        col("weight") * (lit(1.0) + lit(lambda) * coalesce(col("n_paths"), lit(0L)) / lit(anchors.toDouble)))
+      .drop("a", "b", "n_paths")
   }
 }

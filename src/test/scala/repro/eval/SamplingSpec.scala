@@ -40,21 +40,6 @@ class SamplingSpec extends SparkSpec {
     (m ++ f).foreach(u => assert(raters.contains(u)))
   }
 
-  test("sampleItems: popular and unpopular halves are disjoint item nodes") {
-    val (pop, unpop) = Sampling.sampleItems(kg, half = 15)
-    assert(pop.size == 15 && unpop.size == 15)
-    assert((pop.toSet & unpop.toSet).isEmpty)
-    (pop ++ unpop).foreach(i => assert(NodeIds.isItem(i)))
-  }
-
-  test("popular items have strictly more ratings than unpopular ones") {
-    val (pop, unpop) = Sampling.sampleItems(kg, half = 15)
-    val counts = kg.edges.filter(col("etype") === "user-item")
-      .groupBy("dst").count().collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    assert(pop.map(counts(_)).min >= unpop.map(counts(_)).max)
-    assert(pop.map(counts(_)).sum > unpop.map(counts(_)).sum)
-  }
-
   test("spreadUsers covers the population evenly") {
     val s = Sampling.spreadUsers(nUsers = 100, n = 10)
     assert(s.size == 10)

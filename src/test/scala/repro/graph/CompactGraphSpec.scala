@@ -10,7 +10,18 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
   private def diamond: CompactGraph = CompactGraph.fromTriples(Seq(
     (0L, 1L, 1.0), (0L, 2L, 2.0), (1L, 3L, 2.0), (2L, 3L, 0.5), (1L, 2L, 0.1)))
 
-  private def byWeight(g: CompactGraph): EdgeCost = EdgeCost.fromArray(g.edgeWeight)
+  private def byWeight(g: CompactGraph): EdgeCost = (e: Int) => g.edgeWeight(e)
+
+  /** Edge ids of the shortest path from `source` to `v` in source→v order,
+    * read back with `pathLength` and `writePath` as the kernels read them.
+    */
+  private def shortestPath(g: CompactGraph, source: Int, v: Int): Array[Int] = {
+    val ws = g.workspace
+    g.search(ws, Array(source), 0, 1, byWeight(g), Double.PositiveInfinity)
+    val path = new Array[Int](g.pathLength(ws, v))
+    g.writePath(ws, v, path, path.length)
+    path
+  }
 
   test("CSR construction: vertex count, edge count, degrees") {
     val g = diamond
@@ -34,14 +45,16 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     val res = g.dijkstra(g.indexOf(0), byWeight(g))
     // 0 -> 1 -> 2 -> 3 = 1.0 + 0.1 + 0.5 = 1.6 beats 0->2->3 = 2.5 and 0->1->3 = 3.0
     assert(math.abs(res.dist(g.indexOf(3)) - 1.6) < 1e-12)
-    val path = g.pathEdges(res, g.indexOf(3))
-    assert(path.length == 3)
+    assert(shortestPath(g, g.indexOf(0), g.indexOf(3)).length == 3)
   }
 
-  test("pathEdges reconstructs a contiguous path from source to target") {
+  test("writePath reconstructs a contiguous path from source to target") {
     val g = diamond
-    val res = g.dijkstra(g.indexOf(0), byWeight(g))
-    val path = g.pathEdges(res, g.indexOf(3))
+    val path = shortestPath(g, g.indexOf(0), g.indexOf(3))
+    // Packed behind other entries, the path fills exactly the slots before `end`.
+    val packed = Array.fill(path.length + 3)(-7)
+    g.writePath(g.workspace, g.indexOf(3), packed, path.length + 2)
+    assert(packed.sameElements(Array(-7, -7) ++ path :+ -7))
     // Walk the edges and confirm they chain 0 -> ... -> 3.
     var cur = g.indexOf(0)
     path.foreach { e =>
@@ -86,10 +99,10 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     checkProp(Prop.forAll(TestGraphs.randomGraphGen(10)) { triples =>
       val g = CompactGraph.fromTriples(triples)
       val cost = byWeight(g)
-      val res = g.dijkstra(0, cost)
-      (0 until g.numVertices).filter(res.dist(_).isFinite).forall { v =>
-        val sum = g.pathEdges(res, v).map(cost(_)).sum
-        math.abs(sum - res.dist(v)) < 1e-9
+      val dist = g.dijkstra(0, cost).dist
+      (0 until g.numVertices).filter(dist(_).isFinite).forall { v =>
+        val sum = shortestPath(g, 0, v).map(cost(_)).sum
+        math.abs(sum - dist(v)) < 1e-9
       }
     }, minTests = 25)
   }
@@ -149,14 +162,14 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     (1 to searches).forall { _ =>
       val sources = rnd.shuffle((0 until g.numVertices).toList).take(1 + rnd.nextInt(3)).toArray
       val targets = rnd.nextInt(3) match {
-        case 0 => null
-        case 1 => Array.empty[Int]
+        case 0 | 1 => Array.empty[Int]
         case _ => Array.fill(1 + rnd.nextInt(3))(rnd.nextInt(g.numVertices))
       }
       val maxDist = if (rnd.nextBoolean()) Double.PositiveInfinity else 0.5 + 2 * rnd.nextDouble()
       val fresh = new SearchSpace(g.numVertices)
-      g.search(ws, sources, cost, targets, maxDist)
-      g.search(fresh, sources, cost, targets, maxDist)
+      val terms = sources ++ targets
+      g.search(ws, terms, 0, sources.length, cost, maxDist)
+      g.search(fresh, terms, 0, sources.length, cost, maxDist)
       (0 until g.numVertices).forall { v =>
         ws.dist(v) == fresh.dist(v) && ws.predArc(v) == fresh.predArc(v) &&
           ws.owner(v) == fresh.owner(v) && ws.settled(v) == fresh.settled(v)

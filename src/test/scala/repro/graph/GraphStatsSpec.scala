@@ -1,5 +1,6 @@
 package repro.graph
 
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.kg.{KGBuilder, MLSynth}
@@ -56,10 +57,23 @@ class GraphStatsSpec extends SparkSpec {
 
   test("graphx degrees match the DataFrame degree aggregation") {
     val small = kg.edges.limit(500).cache()
-    val viaGraphx = GraphStats.graphxDegrees(spark, small)
+    val viaGraphx = GraphStatsSpec.graphxDegrees(spark, small)
     val viaDf = small.select(col("src") as "id").union(small.select(col("dst") as "id"))
       .groupBy("id").count().collect().map(r => r.getLong(0) -> r.getLong(1).toInt).toMap
     assert(viaGraphx == viaDf)
     small.unpersist()
+  }
+}
+
+object GraphStatsSpec {
+
+  /** Degree distribution via GraphX — used to cross-check the DataFrame
+    * aggregation (and to exercise the GraphX build path end-to-end).
+    */
+  def graphxDegrees(spark: SparkSession, edges: DataFrame): Map[Long, Int] = {
+    import org.apache.spark.graphx.{Edge, Graph}
+    val rdd = edges.selectExpr("cast(src as long)", "cast(dst as long)")
+      .rdd.map(r => Edge(r.getLong(0), r.getLong(1), 1.0))
+    Graph.fromEdges(rdd, 0).degrees.collect().map { case (id, d) => id -> d }.toMap
   }
 }

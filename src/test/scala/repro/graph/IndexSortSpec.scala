@@ -32,7 +32,7 @@ class IndexSortSpec extends AnyFunSuite with PropSupport {
       // Parallel arrays at a larger bound than the pairs filled, as in ST.
       val dist = new Array[Double](pairs.length + 3)
       pairs.indices.foreach(p => dist(p) = pairs(p)._1)
-      val order = IndexSort.byKey(dist, pairs.length)
+      val order = IndexSort.byKey(dist, pairs.length, new Array[Int](pairs.length), new Array[Int](pairs.length))
       // The same order in caller buffers that are larger and hold stale ids.
       val inBuffers = IndexSort.byKey(dist, pairs.length,
         Array.fill(pairs.length + 5)(7), Array.fill(pairs.length + 2)(-1))
@@ -51,7 +51,7 @@ class IndexSortSpec extends AnyFunSuite with PropSupport {
       java.util.Arrays.sort(keys)
       val byKeyValue = proposals.map(p => p._2 -> p).toMap
       val costs = keys.map(byKeyValue(_)._1)
-      val order = IndexSort.byKey(costs, keys.length)
+      val order = IndexSort.byKey(costs, keys.length, new Array[Int](keys.length), new Array[Int](keys.length))
       order.map(p => byKeyValue(keys(p))).toSeq == proposals.sorted(byCost)
     }, minTests = 200)
   }

@@ -15,13 +15,13 @@ class RecommenderSpec extends SparkSpec {
       .take(8)
   }
 
-  private def recs: Seq[PathRecommender] = PathRecommender.all
+  private def recs: Seq[PathRecommender] = PathRecommender.baselines
 
   test("all four baselines are registered") {
     assert(recs.map(_.name).toSet == Set("pgpr", "cafe", "plm", "pearlm"))
   }
 
-  for (rec <- PathRecommender.all) {
+  for (rec <- PathRecommender.baselines) {
 
     test(s"${rec.getClass.getSimpleName}: returns at most k ranked distinct items") {
       someUsers.foreach { u =>
