@@ -27,7 +27,7 @@ class ScalabilityBench extends BenchSupport {
     val user = topPaths.filter(_._2.size == 10).keys.min
     val scens = Scalability.kScenarios(topPaths, user, Seq(1, 2, 4, 6, 8, 10))
     val rows = Scalability.measure(idx, scens,
-      Seq(Summarizer.ST(1.0), Summarizer.PCST()), reps = 3)
+      Seq(Summarizer.ST(1.0), Summarizer.PCST()))
     rows.sortBy(r => (r.method, r.k)).foreach { r =>
       result("fig9", f"method=${r.method} k=${r.k} terminals=${r.terminals} " +
         f"time=${r.timeMs}%.1fms mem=${r.memMb}%.1fMB edges=${r.edges}")
@@ -45,7 +45,7 @@ class ScalabilityBench extends BenchSupport {
       .split(",").map(_.trim.toInt).toSeq
     val scens = Scalability.groupScenarios(topPaths, sizes, k = 10)
     val rows = Scalability.measure(idx, scens,
-      Seq(Summarizer.ST(1.0), Summarizer.PCST()), reps = 1)
+      Seq(Summarizer.ST(1.0), Summarizer.PCST()))
     rows.sortBy(r => (r.method, r.groupSize)).foreach { r =>
       result("fig10", f"method=${r.method} group=${r.groupSize} terminals=${r.terminals} " +
         f"time=${r.timeMs}%.1fms mem=${r.memMb}%.1fMB edges=${r.edges}")

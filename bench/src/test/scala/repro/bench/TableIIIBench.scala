@@ -39,7 +39,7 @@ class TableIIIBench extends BenchSupport {
       val scens = Scalability.kScenarios(paths, paths.keys.min, Seq(10)) ++
         Scalability.groupScenarios(paths, Seq(math.min(groupSize, paths.size)), k = 10)
       val perf = Scalability.measure(kgIdx, scens,
-        Seq(Summarizer.ST(1.0), Summarizer.PCST()), reps = 1)
+        Seq(Summarizer.ST(1.0), Summarizer.PCST()))
       def t(fam: String, m: String): Double =
         perf.find(r => r.family == fam && r.method.startsWith(m)).map(_.timeMs).getOrElse(-1)
 

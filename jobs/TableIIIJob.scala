@@ -30,7 +30,7 @@ object TableIIIJob {
         val scen = Scalability.kScenarios(paths, paths.keys.min, Seq(10)) ++
           Scalability.groupScenarios(paths, Seq(100), k = 10)
         val rows = Scalability.measure(kgIdx,
-          scen, Seq(Summarizer.ST(1.0), Summarizer.PCST()), reps = 3)
+          scen, Seq(Summarizer.ST(1.0), Summarizer.PCST()))
         def t(fam: String, m: String): Double =
           rows.find(r => r.family == fam && r.method.startsWith(m)).map(_.timeMs).getOrElse(-1)
         println(f"Graph ${gi + 1} | ${stats.nUsers} | ${stats.nItems} | ${stats.nExternal} | " +

@@ -71,49 +71,49 @@ object Harness {
           cfg: Config): Output = {
     val sc = spark.sparkContext
     val kgB = sc.broadcast(kgIdx)
+    try {
+      val (males, females) = Sampling.sampleUsers(kg, cfg.usersPerGender)
+      val sampledUsers = males ++ females
+      val pool = (sampledUsers ++ Sampling.spreadUsers(kg.nUsers, cfg.spreadUserPool)).distinct
 
-    val (males, females) = Sampling.sampleUsers(kg, cfg.usersPerGender)
-    val sampledUsers = males ++ females
-    val pool = (sampledUsers ++ Sampling.spreadUsers(kg.nUsers, cfg.spreadUserPool)).distinct
+      val kMax = cfg.kSet.max
+      val topPaths: Map[Long, Seq[ExplanationPath]] =
+        PathRecommender.recommendBatch(sc, kgB, rec, pool, kMax, cfg.seed)
 
-    val kMax = cfg.kSet.max
-    val topPaths: Map[Long, Seq[ExplanationPath]] =
-      PathRecommender.recommendBatch(sc, kgB, rec, pool, kMax, cfg.seed)
+      // Item sample: the paper's 50 most / 50 least popular items. An
+      // item-centric summary needs a non-empty audience C_i, so the halves
+      // are drawn from the items the recommender actually serves to the pool,
+      // ranked by catalog popularity (rating count).
+      val ratingCounts = kg.edges
+        .filter(org.apache.spark.sql.functions.col("etype") === "user-item")
+        .groupBy("dst").count().collect()
+        .map(r => r.getLong(0) -> r.getLong(1)).toMap
+      val recommendedByPop = topPaths.values.flatten.map(_.item).toSeq.distinct
+        .sortBy(i => (-ratingCounts.getOrElse(i, 0L), i))
+      val popItems = recommendedByPop.take(cfg.itemsHalf)
+      val unpopItems = recommendedByPop.reverse.take(cfg.itemsHalf)
+        .filterNot(popItems.contains)
 
-    // Item sample: the paper's 50 most / 50 least popular items. An
-    // item-centric summary needs a non-empty audience C_i, so the halves
-    // are drawn from the items the recommender actually serves to the pool,
-    // ranked by catalog popularity (rating count).
-    val ratingCounts = kg.edges
-      .filter(org.apache.spark.sql.functions.col("etype") === "user-item")
-      .groupBy("dst").count().collect()
-      .map(r => r.getLong(0) -> r.getLong(1)).toMap
-    val recommendedByPop = topPaths.values.flatten.map(_.item).toSeq.distinct
-      .sortBy(i => (-ratingCounts.getOrElse(i, 0L), i))
-    val popItems = recommendedByPop.take(cfg.itemsHalf)
-    val unpopItems = recommendedByPop.reverse.take(cfg.itemsHalf)
-      .filterNot(popItems.contains)
+      val scenarios = buildScenarios(cfg, sampledUsers, popItems ++ unpopItems,
+        males, popItems, unpopItems, topPaths)
 
-    val scenarios = buildScenarios(cfg, sampledUsers, popItems ++ unpopItems,
-      males, popItems, unpopItems, topPaths)
+      val tasks = for {
+        (k, scenario) <- scenarios
+        method <- cfg.methods
+      } yield (scenario, method, k)
 
-    val tasks = for {
-      (k, scenario) <- scenarios
-      method <- cfg.methods
-    } yield (scenario, method, k)
+      val results = Summarizer.summarizeBatch(sc, kgB, tasks)
 
-    val results = Summarizer.summarizeBatch(sc, kgB, tasks)
-    kgB.destroy()
-
-    val rows = results.map(r => toRow(rec.name, r))
-    val consistency = results
-      .groupBy(r => (r.scenarioId, r.family, r.method))
-      .map { case ((sid, fam, m), rs) =>
-        val byK = rs.sortBy(_.k).map(_.subgraph)
-        ConsistencyRow(rec.name, fam, sid, m, Metrics.consistency(byK))
-      }
-      .toSeq
-    Output(rows, consistency, males, females, popItems, unpopItems)
+      val rows = results.map(r => toRow(rec.name, r))
+      val consistency = results
+        .groupBy(r => (r.scenarioId, r.family, r.method))
+        .map { case ((sid, fam, m), rs) =>
+          val byK = rs.sortBy(_.k).map(_.subgraph)
+          ConsistencyRow(rec.name, fam, sid, m, Metrics.consistency(byK))
+        }
+        .toSeq
+      Output(rows, consistency, males, females, popItems, unpopItems)
+    } finally kgB.destroy()
   }
 
   /** All (k, scenario) pairs of the grid. */

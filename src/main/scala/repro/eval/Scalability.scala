@@ -21,23 +21,30 @@ object Scalability {
     * PEARLM sampler with uniform hops (see DESIGN.md §2).
     */
   def randomPaths(spark: SparkSession, kgIdx: KgIndex, users: Seq[Long], k: Int,
-                  seed: Long): Map[Long, Seq[ExplanationPath]] =
-    PathRecommender.recommendBatch(spark.sparkContext, spark.sparkContext.broadcast(kgIdx),
-      new Pearlm, users, k, seed)
+                  seed: Long): Map[Long, Seq[ExplanationPath]] = {
+    val kgB = spark.sparkContext.broadcast(kgIdx)
+    try PathRecommender.recommendBatch(spark.sparkContext, kgB, new Pearlm, users, k, seed)
+    finally kgB.destroy()
+  }
+
+  /** Timed runs per (scenario, method), after one untimed warm-up run. */
+  private val Reps = 5
 
   /** Time ST vs PCST on user-group scenarios of growing size (Fig 10) and
     * on user-centric scenarios of growing k (Fig 9). Each timing is the
-    * median of `reps` runs of `Summarizer.summarize` on the driver, so
-    * numbers are not confounded by task scheduling.
+    * median of `Reps` runs of `Summarizer.summarize` on the driver after a
+    * warm-up run, so numbers are not confounded by task scheduling or by
+    * the first run's JIT compilation and scratch growth.
     */
   def measure(kgIdx: KgIndex, scenarios: Seq[(Scenario, Int, Int)], // (scenario, groupSize, k)
-              methods: Seq[Summarizer.Method], reps: Int = 3): Seq[PerfRow] = {
+              methods: Seq[Summarizer.Method]): Seq[PerfRow] = {
     for {
       (scenario, gs, k) <- scenarios
       method <- methods
     } yield {
-      val runs = (1 to reps).map(_ => Summarizer.summarize(kgIdx, scenario, method, k))
-      val med = runs.sortBy(_.timeNs).apply(reps / 2)
+      Summarizer.summarize(kgIdx, scenario, method, k)
+      val runs = Seq.fill(Reps)(Summarizer.summarize(kgIdx, scenario, method, k))
+      val med = runs.sortBy(_.timeNs).apply(Reps / 2)
       PerfRow(kgIdx.graph.numVertices, scenario.family, method.label, gs, k,
         scenario.terminals.length, med.timeNs / 1e6, med.memModelBytes / 1e6,
         med.subgraph.edges.length)

@@ -25,7 +25,9 @@ final case class SsspResult(source: Int, dist: Array[Double], predArc: Array[Int
   * paper's summaries are *weakly connected* subgraphs, so the adjacency is
   * the undirected view: each directed edge contributes two arcs, both
   * pointing back at the same original edge id so weights/costs and the
-  * original direction are preserved in the output.
+  * original direction are preserved in the output. Each vertex's arcs are
+  * in ascending edge-id order, so the first arc to a neighbour carries the
+  * lowest-id edge between the two.
   *
   * The structure is immutable and serialisable, sized for broadcast
   * (≤ tens of MB at paper scale) so thousands of independent summary
@@ -445,64 +447,44 @@ object SearchSpace {
 object CompactGraph {
 
   /** Build from in-memory directed edge triples `(srcId, dstId, weight)`. */
-  def fromTriples(triples: Seq[(Long, Long, Double)]): CompactGraph = {
-    val ids = triples.iterator.flatMap(t => Iterator(t._1, t._2)).toArray.distinct.sorted
-    val idx = ids.zipWithIndex.toMap
-    val m = triples.length
-    val edgeSrc = new Array[Int](m)
-    val edgeDst = new Array[Int](m)
-    val edgeW   = new Array[Double](m)
-    var e = 0
-    triples.foreach { case (s, d, w) =>
-      edgeSrc(e) = idx(s); edgeDst(e) = idx(d); edgeW(e) = w; e += 1
-    }
-    assemble(ids, edgeSrc, edgeDst, edgeW)
-  }
+  def fromTriples(triples: Seq[(Long, Long, Double)]): CompactGraph =
+    assemble(triples.map(_._1).toArray, triples.map(_._2).toArray, triples.map(_._3).toArray)
 
   /** Build from an edges DataFrame with columns (src: long, dst: long,
     * weight: double). The collect is deliberate: the CSR is the broadcast
-    * payload for executor-parallel summarisation (see DESIGN.md §3).
+    * payload for executor-parallel summarisation (see DESIGN.md §3), and
+    * `KGraph.graph` runs it once per knowledge graph.
     */
   def fromEdges(edges: DataFrame): CompactGraph = {
     val rows = edges.selectExpr("cast(src as long)", "cast(dst as long)", "cast(weight as double)")
       .collect()
-    val ids = {
-      val set = new java.util.HashSet[java.lang.Long](rows.length * 2)
-      rows.foreach { r => set.add(r.getLong(0)); set.add(r.getLong(1)) }
-      val a = new Array[Long](set.size)
-      val it = set.iterator(); var i = 0
-      while (it.hasNext) { a(i) = it.next(); i += 1 }
-      java.util.Arrays.sort(a); a
-    }
-    val m = rows.length
-    val edgeSrc = new Array[Int](m)
-    val edgeDst = new Array[Int](m)
-    val edgeW   = new Array[Double](m)
-    var e = 0
-    while (e < m) {
-      val r = rows(e)
-      edgeSrc(e) = java.util.Arrays.binarySearch(ids, r.getLong(0))
-      edgeDst(e) = java.util.Arrays.binarySearch(ids, r.getLong(1))
-      edgeW(e)   = r.getDouble(2)
-      e += 1
-    }
-    assemble(ids, edgeSrc, edgeDst, edgeW)
+    assemble(rows.map(_.getLong(0)), rows.map(_.getLong(1)), rows.map(_.getDouble(2)))
   }
 
   // Every kernel adds edge costs derived from these weights, so one NaN or
   // infinite weight would corrupt every summary that reaches its edge;
   // building the graph, before any executor task runs, is where it can
   // still be named.
-  private def assemble(ids: Array[Long], edgeSrc: Array[Int], edgeDst: Array[Int],
-                       edgeW: Array[Double]): CompactGraph = {
-    val n = ids.length
-    val m = edgeSrc.length
+  private def assemble(srcIds: Array[Long], dstIds: Array[Long], edgeW: Array[Double]): CompactGraph = {
+    val m = edgeW.length
     var w = 0
     while (w < m) {
       require(java.lang.Double.isFinite(edgeW(w)),
-        s"edge ${ids(edgeSrc(w))} -> ${ids(edgeDst(w))} has weight ${edgeW(w)}; edge weights must be finite")
+        s"edge ${srcIds(w)} -> ${dstIds(w)} has weight ${edgeW(w)}; edge weights must be finite")
       w += 1
     }
+    // Vertex index = rank of the node id among the distinct endpoint ids.
+    val all = srcIds ++ dstIds
+    java.util.Arrays.sort(all)
+    var n = 0
+    var i = 0
+    while (i < all.length) {
+      if (n == 0 || all(n - 1) != all(i)) { all(n) = all(i); n += 1 }
+      i += 1
+    }
+    val ids = java.util.Arrays.copyOf(all, n)
+    val edgeSrc = srcIds.map(java.util.Arrays.binarySearch(ids, _))
+    val edgeDst = dstIds.map(java.util.Arrays.binarySearch(ids, _))
     val deg = new Array[Int](n + 1)
     var e = 0
     while (e < m) { deg(edgeSrc(e) + 1) += 1; deg(edgeDst(e) + 1) += 1; e += 1 }
@@ -511,6 +493,7 @@ object CompactGraph {
     val offsets = deg
     val arcTarget = new Array[Int](2 * m)
     val arcEdge   = new Array[Int](2 * m)
+    // Edges in id order, so each vertex's arcs are in ascending edge-id order.
     val cursor = offsets.clone()
     e = 0
     while (e < m) {

@@ -26,7 +26,7 @@ object GraphStats {
 
   /** Edge-layer counts and degree averages via DataFrame aggregation
     * (oracle-checked in GraphStatsSpec); path-length stats via sampled BFS
-    * on the CSR view.
+    * on the knowledge graph's CSR, `kg.graph`.
     */
   def compute(kg: KGraph, sampleSources: Int = 24, seed: Long = 42L): Stats = {
     val counts: Map[String, Long] = kg.edges.groupBy("etype").agg(count(lit(1)) as "n")
@@ -39,7 +39,7 @@ object GraphStats {
     val n = kg.numNodes
     val density = if (n < 2) 0.0 else total.toDouble / (n.toDouble * (n - 1) / 2.0)
 
-    val g = CompactGraph.fromEdges(kg.edges)
+    val g = kg.graph
     val rnd = new scala.util.Random(seed)
     val sources = Array.fill(math.min(sampleSources, g.numVertices))(rnd.nextInt(g.numVertices))
     var sumDist = 0.0; var nPairs = 0L; var diameter = 0

@@ -34,20 +34,6 @@ final case class KGParams(
   require(gamma >= 0, s"KGParams.gamma must be >= 0, got $gamma")
 }
 
-/** The knowledge-based graph G(V, E, w) as Spark DataFrames.
-  *
-  * @param nodes (id: long, ntype: string, gender: string|null) — gender only
-  *              for user nodes (ML1M publishes it; used by the paper's
-  *              100M/100F sampling)
-  * @param edges (src: long, dst: long, etype: string, rating: double|null,
-  *              ts: long|null, weight: double) — etype ∈
-  *              {user-item, item-external, user-external}
-  */
-final case class KGraph(nUsers: Int, nItems: Int, nExternal: Int,
-                        nodes: DataFrame, edges: DataFrame) {
-  def numNodes: Long = nUsers.toLong + nItems + nExternal
-}
-
 /** Raw dataset tables before graph construction (the rating matrix M plus
   * the external-knowledge links extracted from the KG source).
   */
@@ -59,7 +45,8 @@ final case class DatasetTables(
 )
 
 /** Builds the knowledge-based graph of §III from a rating matrix and
-  * external-knowledge link tables, as a pure DataFrame pipeline.
+  * external-knowledge link tables, as a pure DataFrame pipeline: building
+  * runs no Spark job.
   */
 object KGBuilder {
 
@@ -69,9 +56,8 @@ object KGBuilder {
       lit(params.beta2) * exp(lit(-params.gamma) * (lit(params.t0.toDouble) - col("ts").cast("double")))
 
   def build(spark: SparkSession, tables: DatasetTables, params: KGParams = KGParams()): KGraph = {
-    val users = tables.users.select(col("user_id").cast("long") as "uid", col("gender"))
-
-    val userNodes = users.select(col("uid") as "id", lit("user") as "ntype", col("gender"))
+    val userNodes = tables.users.select(col("user_id").cast("long") as "id", lit("user") as "ntype",
+      col("gender"))
     val itemNodes = tables.ratings.select(col("item_id")).distinct()
       .union(tables.itemExt.select(col("item_id"))).distinct()
       .select((col("item_id") + NodeIds.ItemBase) as "id", lit("item") as "ntype",
@@ -114,9 +100,6 @@ object KGBuilder {
     // item/external nodes rather than user nodes (§V-B7, privacy).
     val edges = ieEdges.unionByName(ueEdges).unionByName(uiEdges)
 
-    val nU = users.count().toInt
-    val nI = itemNodes.count().toInt
-    val nE = extNodes.count().toInt
-    KGraph(nU, nI, nE, nodes, edges)
+    KGraph(nodes, edges)
   }
 }

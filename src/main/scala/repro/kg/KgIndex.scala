@@ -1,13 +1,13 @@
 package repro.kg
 
-import repro.graph.{CompactGraph, LongKeyTable}
+import repro.graph.CompactGraph
 
 /** Broadcastable query-side view of a knowledge-based graph: the CSR
   * structure plus per-vertex node types, degree-ordered popularity ranks
-  * (used by the LM-style baseline simulators), and an undirected
-  * (src, dst) → edge-id lookup.
+  * (used by the LM-style baseline simulators), and undirected
+  * (src, dst) → edge-id lookups over the CSR itself.
   *
-  * Built once on the driver from the edges DataFrame and broadcast to
+  * Built on the driver around the knowledge graph's one CSR and broadcast to
   * executors; every per-user/per-item summary or recommendation query then
   * runs in parallel over the sample (DESIGN.md §3).
   */
@@ -31,31 +31,18 @@ final class KgIndex(val graph: CompactGraph) extends Serializable {
     }.toMap
   }
 
-  /** Undirected edge lookup, pair key → edge id in the table's int value;
-    * rebuilt lazily on each executor after deserialisation (cheaper than
-    * shipping it). Of parallel edges between one pair, the first wins.
-    */
-  @transient private lazy val edgeLookup: LongKeyTable = {
-    val t = new LongKeyTable(graph.numEdges)
-    var e = 0
-    while (e < graph.numEdges) {
-      val k = key(graph.edgeSrc(e), graph.edgeDst(e))
-      if (t.find(k) < 0) t.put(k, 0.0, e)
-      e += 1
-    }
-    t
-  }
-
-  private def key(a: Int, b: Int): Long =
-    if (a <= b) (a.toLong << 32) | (b.toLong & 0xffffffffL)
-    else (b.toLong << 32) | (a.toLong & 0xffffffffL)
-
   /** Edge id between two vertex indices, in either direction, or −1 if
-    * they are not adjacent.
+    * they are not adjacent. Of parallel edges between one pair, the one
+    * with the lowest id wins: it scans the arcs of the endpoint with the
+    * lower degree, which are in ascending edge-id order.
     */
   def edgeId(a: Int, b: Int): Int = {
-    val s = edgeLookup.find(key(a, b))
-    if (s < 0) -1 else edgeLookup.intAt(s)
+    val from = if (graph.degree(a) <= graph.degree(b)) a else b
+    val to = if (from == a) b else a
+    var arc = graph.offsets(from)
+    val end = graph.offsets(from + 1)
+    while (arc < end && graph.arcTarget(arc) != to) arc += 1
+    if (arc < end) graph.arcEdge(arc) else -1
   }
 
   /** Edge id between two node ids, in either direction, if present. */
@@ -90,6 +77,6 @@ final class KgIndex(val graph: CompactGraph) extends Serializable {
 }
 
 object KgIndex {
-  /** Build from a knowledge-based graph's edges DataFrame. */
-  def fromKGraph(kg: KGraph): KgIndex = new KgIndex(CompactGraph.fromEdges(kg.edges))
+  /** The query view of a knowledge-based graph, around its CSR `kg.graph`. */
+  def fromKGraph(kg: KGraph): KgIndex = new KgIndex(kg.graph)
 }

@@ -1,8 +1,11 @@
 package repro.eval
 
+import org.apache.spark.{DriverProbe, SparkException}
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 import repro.SparkSpec
 import repro.kg.{KGBuilder, KgIndex, MLSynth}
-import repro.rec.Pgpr
+import repro.rec.{ExplanationPath, PathRecommender, Pgpr}
 
 class HarnessSpec extends SparkSpec {
 
@@ -91,5 +94,21 @@ class HarnessSpec extends SparkSpec {
   test("item-centric scenarios have the item plus its audience as terminals") {
     val itemRows = out.rows.filter(r => r.family == "item-centric" && r.method == "paths")
     assert(itemRows.nonEmpty, "popular items should be recommended to someone in the pool")
+  }
+
+  test("a run whose recommender throws leaves no broadcast of the index behind") {
+    val fresh = new KgIndex(idx.graph)
+    val err = intercept[SparkException](Harness.run(spark, kg, fresh, new HarnessSpec.Failing, cfg))
+    assert(err.getMessage.contains("recommender failed"), err.getMessage)
+    eventually(timeout(20.seconds))(assert(DriverProbe.broadcastsOf(fresh) == 0))
+  }
+}
+
+object HarnessSpec {
+  /** A recommender whose every executor task fails. */
+  final class Failing extends PathRecommender {
+    def name: String = "failing"
+    def recommend(kg: KgIndex, userIdx: Int, k: Int, seed: Long): Seq[ExplanationPath] =
+      throw new IllegalStateException("recommender failed")
   }
 }

@@ -203,6 +203,15 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     assert(after.dist.sameElements(before.dist) && after.predArc.sameElements(before.predArc))
   }
 
+  test("property: each vertex's arcs are in non-decreasing edge-id order") {
+    checkProp(Prop.forAll(TestGraphs.multigraphGen(9)) { triples =>
+      val g = CompactGraph.fromTriples(triples)
+      (0 until g.numVertices).forall { v =>
+        (g.offsets(v) until g.offsets(v + 1) - 1).forall(a => g.arcEdge(a) <= g.arcEdge(a + 1))
+      }
+    }, minTests = 50)
+  }
+
   test("a source listed twice is rejected") {
     val g = diamond
     intercept[IllegalArgumentException](g.voronoi(Array(0, 2, 0), byWeight(g)))

@@ -73,4 +73,26 @@ object TestGraphs {
       }
       (tree ++ extra).distinct.map { case (a, b) => (a, b, 0.5 + rnd.nextDouble()) }
     }
+
+  /** Random multigraph on vertices `0 to n`, as directed unit-weight
+    * triples in random order: `n` is a hub joined to every other vertex,
+    * and repeated pairs, reversed repeats and self-loops give parallel
+    * edges in both directions.
+    */
+  def multigraphGen(maxNodes: Int): Gen[Seq[(Long, Long, Double)]] =
+    for {
+      n <- Gen.choose(2, maxNodes)
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield {
+      val rnd = new scala.util.Random(seed)
+      val hub = n.toLong
+      val spokes = (0 until n).map(v => if (rnd.nextBoolean()) (hub, v.toLong) else (v.toLong, hub))
+      val others = Seq.fill(rnd.nextInt(3 * n))((rnd.nextInt(n + 1).toLong, rnd.nextInt(n + 1).toLong))
+      val base = spokes ++ others
+      val repeats = Seq.fill(rnd.nextInt(2 * n)) {
+        val (a, b) = base(rnd.nextInt(base.size))
+        if (rnd.nextBoolean()) (b, a) else (a, b)
+      }
+      rnd.shuffle(base ++ repeats).map { case (a, b) => (a, b, 1.0) }
+    }
 }

@@ -1,5 +1,8 @@
 package repro.jobs
 
+import org.apache.spark.DriverProbe
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 import repro.SparkSpec
 import repro.core.Summarizer
 import repro.eval.Scalability
@@ -33,7 +36,7 @@ class JobsSpec extends SparkSpec {
     assume(paths.size >= 8)
     val scens = Scalability.groupScenarios(paths, Seq(2, 4, 8), k = 5)
     assert(scens.map(_._2) == Seq(2, 4, 8))
-    val rows = Scalability.measure(idx, scens, Seq(Summarizer.ST(1.0), Summarizer.PCST()), reps = 1)
+    val rows = Scalability.measure(idx, scens, Seq(Summarizer.ST(1.0), Summarizer.PCST()))
     assert(rows.size == 6)
     rows.foreach(r => assert(r.timeMs >= 0))
     // ST memory model grows with |T|; PCST's does not.
@@ -53,5 +56,17 @@ class JobsSpec extends SparkSpec {
     val scens = Scalability.kScenarios(paths, u, Seq(1, 3, 5))
     assert(scens.nonEmpty && scens.size <= 3)
     scens.foreach { case (sc, _, k) => assert(sc.terminals.length <= k + 1) }
+  }
+
+  test("Scalability.randomPaths leaves no broadcast of the index behind") {
+    val kg = KGBuilder.build(spark, MLSynth.synthetic(spark, 1200))
+    val idx = KgIndex.fromKGraph(kg)
+    val held = spark.sparkContext.broadcast(idx)
+    assert(DriverProbe.broadcastsOf(idx) == 1)
+    held.destroy()
+    eventually(timeout(20.seconds))(assert(DriverProbe.broadcastsOf(idx) == 0))
+    val paths = Scalability.randomPaths(spark, idx, (1 to 4).map(u => NodeIds.user(u.toLong)), k = 5, seed = 5L)
+    assert(paths.nonEmpty)
+    eventually(timeout(20.seconds))(assert(DriverProbe.broadcastsOf(idx) == 0))
   }
 }

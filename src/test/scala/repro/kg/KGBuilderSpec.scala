@@ -1,5 +1,9 @@
 package repro.kg
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.ListenerDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.catalyst.plans.logical.Aggregate
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 
@@ -26,6 +30,37 @@ class KGBuilderSpec extends SparkSpec {
     val byType = kg.nodes.groupBy("ntype").count().collect()
       .map(r => r.getString(0) -> r.getLong(1)).toMap
     assert(byType == Map("user" -> 2L, "item" -> 2L, "external" -> 2L))
+  }
+
+  test("build on ML1M-sim starts no Spark job, and each lazy count is its node type's count") {
+    val sc = spark.sparkContext
+    val tables = MLSynth.ml1m(spark, scale = 0.05)
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    ListenerDrain(sc)
+    sc.addSparkListener(listener)
+    val kg = try {
+      val built = KGBuilder.build(spark, tables)
+      ListenerDrain(sc)
+      built
+    } finally sc.removeSparkListener(listener)
+    assert(jobs.get == 0, s"KGBuilder.build started ${jobs.get} Spark jobs")
+    val byType = kg.nodes.groupBy("ntype").count().collect()
+      .map(r => r.getString(0) -> r.getLong(1)).toMap
+    assert(kg.nUsers.toLong == byType("user"))
+    assert(kg.nItems.toLong == byType("item"))
+    assert(kg.nExternal.toLong == byType("external"))
+    assert(kg.numNodes == byType.values.sum)
+  }
+
+  test("the user count reads the user rows only, not the item and external distincts") {
+    val kg = KGBuilder.build(spark, MLSynth.ml1m(spark, scale = 0.05))
+    def aggregates(ntype: String): Int =
+      kg.ofType(ntype).queryExecution.optimizedPlan.collect { case a: Aggregate => a }.size
+    assert(aggregates("user") == 0)
+    assert(aggregates("item") > 0 && aggregates("external") > 0)
   }
 
   test("edge construction: one edge per table row, typed") {

@@ -1,8 +1,11 @@
 package repro.kg
 
-import repro.SparkSpec
+import java.lang.management.ManagementFactory
+import org.scalacheck.Prop
+import repro.{PropSupport, SparkSpec}
+import repro.graph.{CompactGraph, TestGraphs}
 
-class KgIndexSpec extends SparkSpec {
+class KgIndexSpec extends SparkSpec with PropSupport {
 
   private lazy val kg = KGBuilder.build(spark, MLSynth.ml1m(spark, scale = 0.05))
   private lazy val idx = KgIndex.fromKGraph(kg)
@@ -107,6 +110,54 @@ class KgIndexSpec extends SparkSpec {
     assert(back.graph.numVertices == idx.graph.numVertices)
     val g = idx.graph
     val (s, d) = (g.ids(g.edgeSrc(0)), g.ids(g.edgeDst(0)))
-    assert(back.edgeBetween(s, d) == idx.edgeBetween(s, d)) // lazy lookup rebuilt
+    assert(back.edgeBetween(s, d) == idx.edgeBetween(s, d))
+  }
+
+  test("fromKGraph wraps the knowledge graph's one CSR, identical to a fresh build") {
+    assert(KgIndex.fromKGraph(kg).graph eq kg.graph)
+    val (g, fresh) = (kg.graph, CompactGraph.fromEdges(kg.edges))
+    assert(g.ids.sameElements(fresh.ids))
+    assert(g.offsets.sameElements(fresh.offsets))
+    assert(g.arcTarget.sameElements(fresh.arcTarget))
+    assert(g.arcEdge.sameElements(fresh.arcEdge))
+    assert(g.edgeSrc.sameElements(fresh.edgeSrc))
+    assert(g.edgeDst.sameElements(fresh.edgeDst))
+    assert(g.edgeWeight.sameElements(fresh.edgeWeight))
+  }
+
+  test("property: edgeId is the lowest id of the edges between a pair, in either order") {
+    checkProp(Prop.forAll(TestGraphs.multigraphGen(9)) { triples =>
+      val g = CompactGraph.fromTriples(triples)
+      val k = new KgIndex(g)
+      def lowest(a: Int, b: Int): Int = (0 until g.numEdges).find { e =>
+        g.edgeSrc(e) == a && g.edgeDst(e) == b || g.edgeSrc(e) == b && g.edgeDst(e) == a
+      }.getOrElse(-1)
+      (0 until g.numVertices).forall { a =>
+        (0 until g.numVertices).forall(b => k.edgeId(a, b) == lowest(a, b) && k.edgeId(b, a) == lowest(a, b))
+      }
+    }, minTests = 100)
+  }
+
+  test("100,000 warm edgeId calls allocate less than 1 KB") {
+    val g = idx.graph
+    val rnd = new scala.util.Random(11L)
+    // Half edges (either direction), half random pairs, most of them absent.
+    val (as, bs) = Array.tabulate(1000) { i =>
+      val e = rnd.nextInt(g.numEdges)
+      if (i % 2 == 0) (g.edgeSrc(e), g.edgeDst(e)) else (rnd.nextInt(g.numVertices), g.edgeDst(e))
+    }.unzip
+    def run(): Long = {
+      var found = 0L
+      var i = 0
+      while (i < 100000) { found += idx.edgeId(as(i % 1000), bs(i % 1000)); i += 1 }
+      found
+    }
+    run()
+    val bean = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    val before = bean.getCurrentThreadAllocatedBytes
+    val found = run()
+    val allocated = bean.getCurrentThreadAllocatedBytes - before
+    assert(found != 0)
+    assert(allocated < 1024, s"100,000 edgeId calls allocated $allocated bytes")
   }
 }
