@@ -19,8 +19,9 @@ class ScalabilityBench extends BenchSupport {
   private lazy val topPaths = {
     val users = repro.eval.Sampling.spreadUsers(
       (idx.graph.ids.count(repro.kg.NodeIds.isUser)), 120)
-    PathRecommender.recommendBatch(spark.sparkContext,
-      spark.sparkContext.broadcast(idx), new Pgpr, users, 10, seed = 17L)
+    val idxB = spark.sparkContext.broadcast(idx)
+    try PathRecommender.recommendBatch(spark.sparkContext, idxB, new Pgpr, users, 10, seed = 17L)
+    finally idxB.destroy()
   }
 
   test("Fig 9: runtime vs k — ST grows faster than PCST") {

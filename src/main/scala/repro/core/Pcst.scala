@@ -47,7 +47,8 @@ object Pcst {
     *                edge weights and use a uniform cost (§V-A)
     * @param terminals terminal vertex indices (deduplicated internally)
     * @param prizes  prize p(t) per terminal, aligned with `terminals`
-    *                (non-terminals implicitly have the paper's p = β ≈ 0)
+    *                (non-terminals implicitly have the paper's p = β ≈ 0);
+    *                +∞ is legal, a NaN or negative prize throws, naming its position
     */
   def summarize(g: CompactGraph, cost: EdgeCost, terminals: Array[Int],
                 prizes: Array[Double]): TreeResult = {
@@ -72,6 +73,8 @@ object Pcst {
     i = 0
     while (i < len) {
       val p = prizes(packed(i).toInt)
+      // A NaN prize would make the growth radius NaN and the search reach nothing.
+      if (!(p >= 0)) throw new IllegalArgumentException(s"prize at position ${packed(i).toInt} is $p")
       if (firstOf(i)) { t += 1; terms(t) = vertexAt(i); prize(t) = p }
       else if (prize(t) < p) prize(t) = p
       i += 1

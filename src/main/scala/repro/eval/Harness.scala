@@ -2,7 +2,7 @@ package repro.eval
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core._
-import repro.kg.{KGraph, KgIndex}
+import repro.kg.{KGraph, KgIndex, NodeType}
 import repro.rec.{ExplanationPath, PathRecommender}
 
 /** The experiment grid of §V: for a recommender's explanation paths, build
@@ -22,7 +22,9 @@ object Harness {
     * sample (never the algorithms) to fit the CI time budget and say so in
     * EXPERIMENTS.md. Every grid has two user groups and two item groups
     * (popular and unpopular), and runs the paths baseline, ST at the paper's
-    * λ ∈ {0.01, 1, 100} and PCST at its default edge cost.
+    * λ ∈ {0.01, 1, 100} and PCST at its default edge cost. A bad field (an
+    * empty `kSet`, a k or a size below 1, a negative pool) throws an
+    * `IllegalArgumentException` naming it.
     */
   final case class Config(
       kSet: Seq[Int] = 1 to 10,
@@ -34,6 +36,12 @@ object Harness {
       itemGroupSize: Int = 20,
       seed: Long = 17L,
   ) {
+    require(kSet.nonEmpty && kSet.forall(_ >= 1), s"Harness.Config.kSet must be non-empty, all k >= 1: $kSet")
+    Seq("usersPerGender" -> usersPerGender, "itemsHalf" -> itemsHalf, "groupSize" -> groupSize,
+        "itemGroupSize" -> itemGroupSize, "maxUsersPerItem" -> maxUsersPerItem)
+      .foreach { case (field, v) => require(v >= 1, s"Harness.Config.$field must be >= 1, got $v") }
+    require(spreadUserPool >= 0, s"Harness.Config.spreadUserPool must be >= 0, got $spreadUserPool")
+
     def methods: Seq[Summarizer.Method] =
       Summarizer.Paths +: Lambdas.map(Summarizer.ST) :+ Summarizer.PCST()
   }
@@ -83,13 +91,9 @@ object Harness {
       // Item sample: the paper's 50 most / 50 least popular items. An
       // item-centric summary needs a non-empty audience C_i, so the halves
       // are drawn from the items the recommender actually serves to the pool,
-      // ranked by catalog popularity (rating count).
-      val ratingCounts = kg.edges
-        .filter(org.apache.spark.sql.functions.col("etype") === "user-item")
-        .groupBy("dst").count().collect()
-        .map(r => r.getLong(0) -> r.getLong(1)).toMap
+      // ranked by catalog popularity (rating count: degree to users).
       val recommendedByPop = topPaths.values.flatten.map(_.item).toSeq.distinct
-        .sortBy(i => (-ratingCounts.getOrElse(i, 0L), i))
+        .sortBy(i => (-KgIndex.typedDegree(kgIdx.graph, kgIdx.graph.indexOf(i), NodeType.User), i))
       val popItems = recommendedByPop.take(cfg.itemsHalf)
       val unpopItems = recommendedByPop.reverse.take(cfg.itemsHalf)
         .filterNot(popItems.contains)

@@ -1,7 +1,6 @@
 package repro.eval
 
-import org.apache.spark.sql.functions._
-import repro.kg.{KGraph, NodeIds}
+import repro.kg.{KGraph, KgIndex, NodeIds, NodeType}
 
 /** The paper's user sampling (§V-A): 100 male + 100 female users
   * "preserving the original rating distribution", plus the wider user pool
@@ -10,19 +9,19 @@ import repro.kg.{KGraph, NodeIds}
   */
 object Sampling {
 
-  /** Per-gender stratified sample: users are ranked by rating count and
-    * picked at evenly spaced ranks, which preserves the activity
-    * distribution instead of biasing toward heavy raters. Returns
-    * (males, females) as node ids.
+  /** Per-gender stratified sample: users are ranked by rating count (degree
+    * to items in `kg.graph`) and picked at evenly spaced ranks, which
+    * preserves the activity distribution instead of biasing toward heavy
+    * raters. Returns (males, females) as node ids. Its one Spark job reads
+    * the user rows' (id, gender).
     */
   def sampleUsers(kg: KGraph, perGender: Int): (Seq[Long], Seq[Long]) = {
-    val counts = kg.edges.filter(col("etype") === "user-item")
-      .groupBy(col("src") as "id").agg(count(lit(1)) as "n")
-    val ranked = kg.nodes.filter(col("ntype") === "user")
-      .join(counts, Seq("id"), "inner") // users with no ratings have no paths to summarize
-      .select(col("id"), col("gender"), col("n"))
-      .collect()
-      .map(r => (r.getLong(0), r.getString(1), r.getLong(2)))
+    val g = kg.graph
+    def ratings(id: Long): Int =
+      g.find(id) match { case -1 => 0; case v => KgIndex.typedDegree(g, v, NodeType.Item) }
+    val ranked = kg.ofType("user").select("id", "gender").collect()
+      .map(r => (r.getLong(0), r.getString(1), ratings(r.getLong(0))))
+      .filter(_._3 > 0) // users with no ratings have no paths to summarize
 
     def pick(gender: String): Seq[Long] = {
       val sorted = ranked.filter(_._2 == gender).sortBy(u => (-u._3, u._1)).map(_._1)

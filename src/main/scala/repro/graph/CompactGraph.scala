@@ -217,25 +217,6 @@ final class CompactGraph(
     }
     (dist, predArc, owner)
   }
-
-  /** BFS hop distances over the undirected view (for path-length stats). */
-  def bfsHops(source: Int): Array[Int] = {
-    val dist = Array.fill(numVertices)(-1)
-    val queue = new java.util.ArrayDeque[Integer]()
-    dist(source) = 0
-    queue.add(source)
-    while (!queue.isEmpty) {
-      val u = queue.poll().intValue()
-      var a = offsets(u)
-      val end = offsets(u + 1)
-      while (a < end) {
-        val v = arcTarget(a)
-        if (dist(v) < 0) { dist(v) = dist(u) + 1; queue.add(v) }
-        a += 1
-      }
-    }
-    dist
-  }
 }
 
 /** Reusable state of [[CompactGraph.search]]: distances, predecessor arcs,

@@ -1,8 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.Row
-import org.apache.spark.sql.functions._
-import repro.kg.KGraph
+import repro.kg.{KGraph, KgIndex, NodeIds, NodeType}
 
 /** Graph statistics of Tables II and III, computed the way the paper
   * reports them: edge counts by layer, average degrees, density over the
@@ -24,31 +22,33 @@ object GraphStats {
       diameter: Int,
   )
 
-  /** Edge-layer counts and degree averages via DataFrame aggregation
-    * (oracle-checked in GraphStatsSpec); path-length stats via sampled BFS
-    * on the knowledge graph's CSR, `kg.graph`.
+  /** Edge-layer counts as sums of typed degrees over the knowledge graph's
+    * CSR, `kg.graph` (oracle-checked in GraphStatsSpec); path-length stats
+    * from unit-cost searches on it, whose distances are hop counts.
     */
   def compute(kg: KGraph, sampleSources: Int = 24, seed: Long = 42L): Stats = {
-    val counts: Map[String, Long] = kg.edges.groupBy("etype").agg(count(lit(1)) as "n")
-      .collect().map((r: Row) => r.getString(0) -> r.getLong(1)).toMap
-    val ui = counts.getOrElse("user-item", 0L)
-    val ie = counts.getOrElse("item-external", 0L)
-    val ue = counts.getOrElse("user-external", 0L)
+    val g = kg.graph
+    def layer(from: Byte, to: Byte): Long =
+      (0 until g.numVertices).iterator.filter(v => NodeIds.typeOf(g.ids(v)) == from)
+        .map(v => KgIndex.typedDegree(g, v, to).toLong).sum
+    val ui = layer(NodeType.User, NodeType.Item)
+    val ie = layer(NodeType.Item, NodeType.External)
+    val ue = layer(NodeType.User, NodeType.External)
     val total = ui + ie + ue
 
     val n = kg.numNodes
     val density = if (n < 2) 0.0 else total.toDouble / (n.toDouble * (n - 1) / 2.0)
 
-    val g = kg.graph
     val rnd = new scala.util.Random(seed)
     val sources = Array.fill(math.min(sampleSources, g.numVertices))(rnd.nextInt(g.numVertices))
+    val ws = g.workspace
     var sumDist = 0.0; var nPairs = 0L; var diameter = 0
     sources.foreach { s =>
-      val hops = g.bfsHops(s)
+      g.search(ws, Array(s), 0, 1, EdgeCost.uniform(1.0), Double.PositiveInfinity)
       var v = 0
-      while (v < hops.length) {
-        val h = hops(v)
-        if (h > 0) { sumDist += h; nPairs += 1; if (h > diameter) diameter = h }
+      while (v < g.numVertices) {
+        val h = ws.dist(v)
+        if (h > 0 && !h.isInfinite) { sumDist += h; nPairs += 1; diameter = math.max(diameter, h.toInt) }
         v += 1
       }
     }

@@ -25,10 +25,10 @@ final case class KGraph(nodes: DataFrame, edges: DataFrame) {
 
   def numNodes: Long = nUsers.toLong + nItems + nExternal
 
-  /** The CSR of `edges`: the one collect of the edge table, shared by
-    * every [[KgIndex]] and by the graph statistics.
+  /** The CSR of `edges`, the one collect of the edge table: every [[KgIndex]],
+    * sample and graph statistic derived from the edges reads it.
     */
   lazy val graph: CompactGraph = CompactGraph.fromEdges(edges)
 
-  private[kg] def ofType(ntype: String): DataFrame = nodes.filter(col("ntype") === ntype)
+  private[repro] def ofType(ntype: String): DataFrame = nodes.filter(col("ntype") === ntype)
 }

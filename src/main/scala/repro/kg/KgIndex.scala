@@ -79,4 +79,11 @@ final class KgIndex(val graph: CompactGraph) extends Serializable {
 object KgIndex {
   /** The query view of a knowledge-based graph, around its CSR `kg.graph`. */
   def fromKGraph(kg: KGraph): KgIndex = new KgIndex(kg.graph)
+
+  /** Edges between vertex `v` of `g` and vertices of node type `t`, parallel
+    * ones included. Endpoint types fix the etype, so this is a user's rating
+    * count (t = item), an item's popularity (t = user) and every layer count.
+    */
+  def typedDegree(g: CompactGraph, v: Int, t: Byte): Int =
+    (g.offsets(v) until g.offsets(v + 1)).count(a => NodeIds.typeOf(g.ids(g.arcTarget(a))) == t)
 }

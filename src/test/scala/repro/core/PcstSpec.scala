@@ -53,6 +53,24 @@ class PcstSpec extends AnyFunSuite with PropSupport {
     assert(r.edgeIds.length == 1) // 1.0 + 1.0 funds the 0.25 edge
   }
 
+  test("a NaN or negative prize is rejected, naming its position") {
+    val g = CompactGraph.fromTriples(Seq((0L, 1L, 1.0), (1L, 2L, 1.0)))
+    Seq(Double.NaN, -1.0, Double.NegativeInfinity).foreach { p =>
+      val err = intercept[IllegalArgumentException](
+        Pcst.summarize(g, unit, Array(0, 1, 2), Array(1.0, p, 1.0)))
+      assert(err.getMessage.contains("prize at position 1"), err.getMessage)
+    }
+  }
+
+  test("infinite prizes are legal: every terminal connects, as a forest") {
+    val g = CompactGraph.fromTriples((0L until 8L).map(i => (i, i + 1, 1.0)) :+ ((0L, 8L, 1.0)))
+    val terms = Array(0, 3, 6).map(g.indexOf(_))
+    val r = Pcst.summarize(g, unit, terms, Array.fill(3)(Double.PositiveInfinity))
+    val ds = new DisjointSet(g.numVertices)
+    assert(r.edgeIds.forall(e => ds.union(g.edgeSrc(e), g.edgeDst(e))), "no edge closes a cycle")
+    assert(terms.forall(t => ds.connected(terms(0), t)))
+  }
+
   test("deterministic across runs") {
     val g = CompactGraph.fromTriples(Seq(
       (0L, 1L, 1.0), (1L, 2L, 1.0), (2L, 3L, 1.0), (0L, 3L, 1.0), (1L, 3L, 1.0)))

@@ -3,7 +3,7 @@ package repro.eval
 import org.apache.spark.{DriverProbe, SparkException}
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.SpanSugar._
-import repro.SparkSpec
+import repro.{SparkActivity, SparkSpec}
 import repro.kg.{KGBuilder, KgIndex, MLSynth}
 import repro.rec.{ExplanationPath, PathRecommender, Pgpr}
 
@@ -16,7 +16,12 @@ class HarnessSpec extends SparkSpec {
     kSet = Seq(1, 3, 5), usersPerGender = 6, itemsHalf = 5, spreadUserPool = 60,
     groupSize = 4, itemGroupSize = 4)
 
-  private lazy val out = Harness.run(spark, kg, idx, new Pgpr, cfg)
+  // The grid runs once, with its Spark activity recorded after the graph
+  // and the user count, which every run shares, are built.
+  private lazy val (out, activity) = {
+    idx; kg.nUsers
+    SparkActivity.during(spark.sparkContext)(Harness.run(spark, kg, idx, new Pgpr, cfg))
+  }
 
   test("rows cover every method for the user-centric family") {
     val methods = out.rows.filter(_.family == "user-centric").map(_.method).toSet
@@ -94,6 +99,27 @@ class HarnessSpec extends SparkSpec {
   test("item-centric scenarios have the item plus its audience as terminals") {
     val itemRows = out.rows.filter(r => r.family == "item-centric" && r.method == "paths")
     assert(itemRows.nonEmpty, "popular items should be recommended to someone in the pool")
+  }
+
+  test("after kg.graph and kg.nUsers are built, a run shuffles nothing") {
+    assert(out.rows.nonEmpty)
+    assert(activity.shuffleBytes == 0L, activity)
+  }
+
+  test("Config rejects a bad value of each field, naming it, before any Spark job") {
+    def rejects(field: String, cfg: => Harness.Config): Unit = {
+      val e = intercept[IllegalArgumentException](cfg)
+      assert(e.getMessage.contains(s"Harness.Config.$field"), e.getMessage)
+    }
+    rejects("kSet", Harness.Config(kSet = Seq()))
+    rejects("kSet", Harness.Config(kSet = Seq(1, 0)))
+    rejects("usersPerGender", Harness.Config(usersPerGender = 0))
+    rejects("itemsHalf", Harness.Config(itemsHalf = 0))
+    rejects("groupSize", Harness.Config(groupSize = 0))
+    rejects("itemGroupSize", Harness.Config(itemGroupSize = 0))
+    rejects("maxUsersPerItem", Harness.Config(maxUsersPerItem = 0))
+    rejects("spreadUserPool", Harness.Config(spreadUserPool = -1))
+    assert(Harness.Config(spreadUserPool = 0).spreadUserPool == 0)
   }
 
   test("a run whose recommender throws leaves no broadcast of the index behind") {

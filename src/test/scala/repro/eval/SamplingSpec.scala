@@ -1,8 +1,8 @@
 package repro.eval
 
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
-import repro.kg.{KGBuilder, MLSynth, NodeIds}
+import repro.{SparkActivity, SparkSpec}
+import repro.kg.{KGBuilder, KGraph, MLSynth, NodeIds}
 
 class SamplingSpec extends SparkSpec {
 
@@ -40,6 +40,18 @@ class SamplingSpec extends SparkSpec {
     (m ++ f).foreach(u => assert(raters.contains(u)))
   }
 
+  test("sampleUsers equals the groupBy + join reference for 10 and 20 users per gender") {
+    Seq(10, 20).foreach { n =>
+      assert(Sampling.sampleUsers(kg, n) == SamplingSpec.reference(kg, n), s"perGender = $n")
+    }
+  }
+
+  test("after kg.graph is built, sampleUsers runs one Spark job and shuffles nothing") {
+    kg.graph
+    val (_, activity) = SparkActivity.during(spark.sparkContext)(Sampling.sampleUsers(kg, 10))
+    assert(activity == SparkActivity.Counts(jobs = 1, shuffleBytes = 0L), activity)
+  }
+
   test("spreadUsers covers the population evenly") {
     val s = Sampling.spreadUsers(nUsers = 100, n = 10)
     assert(s.size == 10)
@@ -50,5 +62,32 @@ class SamplingSpec extends SparkSpec {
 
   test("spreadUsers caps at the population size") {
     assert(Sampling.spreadUsers(nUsers = 5, n = 50).size == 5)
+  }
+}
+
+object SamplingSpec {
+
+  /** The sample as DataFrames: rating counts by a `groupBy` over the
+    * user-item edges, inner-joined with the user rows, then the same
+    * (−count, id) ranking and evenly spaced picks.
+    */
+  def reference(kg: KGraph, perGender: Int): (Seq[Long], Seq[Long]) = {
+    val counts = kg.edges.filter(col("etype") === "user-item")
+      .groupBy(col("src") as "id").agg(count(lit(1)) as "n")
+    val ranked = kg.nodes.filter(col("ntype") === "user")
+      .join(counts, Seq("id"), "inner")
+      .select(col("id"), col("gender"), col("n"))
+      .collect()
+      .map(r => (r.getLong(0), r.getString(1), r.getLong(2)))
+
+    def pick(gender: String): Seq[Long] = {
+      val sorted = ranked.filter(_._2 == gender).sortBy(u => (-u._3, u._1)).map(_._1)
+      if (sorted.length <= perGender) sorted.toSeq
+      else {
+        val step = sorted.length.toDouble / perGender
+        (0 until perGender).map(i => sorted((i * step).toInt))
+      }
+    }
+    (pick("M"), pick("F"))
   }
 }

@@ -217,13 +217,37 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     intercept[IllegalArgumentException](g.voronoi(Array(0, 2, 0), byWeight(g)))
   }
 
-  test("bfsHops: hop counts over the undirected view") {
+  /** Distances of a unit-cost search from `source`, as the graph statistics run it. */
+  private def hops(g: CompactGraph, source: Int): Array[Double] = {
+    val ws = g.workspace
+    g.search(ws, Array(source), 0, 1, EdgeCost.uniform(1.0), Double.PositiveInfinity)
+    Array.tabulate(g.numVertices)(ws.dist)
+  }
+
+  test("unit-cost search: hop counts over the undirected view") {
     val g = CompactGraph.fromTriples(Seq((0L, 1L, 9.0), (1L, 2L, 9.0), (3L, 2L, 9.0)))
-    val hops = g.bfsHops(g.indexOf(0))
-    assert(hops(g.indexOf(0)) == 0)
-    assert(hops(g.indexOf(1)) == 1)
-    assert(hops(g.indexOf(2)) == 2)
-    assert(hops(g.indexOf(3)) == 3) // reached against edge direction
+    val h = hops(g, g.indexOf(0))
+    assert(h(g.indexOf(0)) == 0)
+    assert(h(g.indexOf(1)) == 1)
+    assert(h(g.indexOf(2)) == 2)
+    assert(h(g.indexOf(3)) == 3) // reached against edge direction
+  }
+
+  test("property: unit-cost search distances equal breadth-first hop counts") {
+    checkProp(Prop.forAll(TestGraphs.multigraphGen(12)) { triples =>
+      val g = CompactGraph.fromTriples(triples)
+      (0 until g.numVertices).forall { s =>
+        val bfs = Array.fill(g.numVertices)(-1)
+        val queue = scala.collection.mutable.Queue(s)
+        bfs(s) = 0
+        while (queue.nonEmpty) {
+          val u = queue.dequeue()
+          (g.offsets(u) until g.offsets(u + 1)).map(g.arcTarget).filter(bfs(_) < 0)
+            .foreach { v => bfs(v) = bfs(u) + 1; queue.enqueue(v) }
+        }
+        hops(g, s).sameElements(bfs.map(h => if (h < 0) Double.PositiveInfinity else h.toDouble))
+      }
+    }, minTests = 50)
   }
 
   test("fromTriples rejects a NaN or infinite edge weight, naming the edge") {

@@ -44,6 +44,15 @@ class GraphStatsSpec extends SparkSpec {
       "edges" -> kg.edges.select("src", "dst", "etype"))
   }
 
+  test("oracle: GraphStats' three layer counts match DuckDB's per-etype counts") {
+    import spark.implicits._
+    val fromStats = Seq("user-item" -> stats.userItemEdges, "item-external" -> stats.itemExternalEdges,
+      "user-external" -> stats.userExternalEdges).toDF("etype", "n")
+    Oracle.assertEquivalent(fromStats,
+      "SELECT etype, COUNT(*) AS n FROM edges GROUP BY etype",
+      "edges" -> kg.edges.select("src", "dst", "etype"))
+  }
+
   test("oracle: average user degree matches DuckDB aggregation") {
     val sparkDf = kg.edges.filter(col("etype") === "user-item")
       .groupBy("src").agg(count(lit(1)) as "d")

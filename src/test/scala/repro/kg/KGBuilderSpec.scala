@@ -1,11 +1,8 @@
 package repro.kg
 
-import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.ListenerDrain
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.catalyst.plans.logical.Aggregate
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkActivity, SparkSpec}
 
 class KGBuilderSpec extends SparkSpec {
 
@@ -33,20 +30,9 @@ class KGBuilderSpec extends SparkSpec {
   }
 
   test("build on ML1M-sim starts no Spark job, and each lazy count is its node type's count") {
-    val sc = spark.sparkContext
     val tables = MLSynth.ml1m(spark, scale = 0.05)
-    val jobs = new AtomicInteger
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
-    }
-    ListenerDrain(sc)
-    sc.addSparkListener(listener)
-    val kg = try {
-      val built = KGBuilder.build(spark, tables)
-      ListenerDrain(sc)
-      built
-    } finally sc.removeSparkListener(listener)
-    assert(jobs.get == 0, s"KGBuilder.build started ${jobs.get} Spark jobs")
+    val (kg, activity) = SparkActivity.during(spark.sparkContext)(KGBuilder.build(spark, tables))
+    assert(activity.jobs == 0, s"KGBuilder.build started ${activity.jobs} Spark jobs")
     val byType = kg.nodes.groupBy("ntype").count().collect()
       .map(r => r.getString(0) -> r.getLong(1)).toMap
     assert(kg.nUsers.toLong == byType("user"))

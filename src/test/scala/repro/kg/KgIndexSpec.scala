@@ -125,6 +125,21 @@ class KgIndexSpec extends SparkSpec with PropSupport {
     assert(g.edgeWeight.sameElements(fresh.edgeWeight))
   }
 
+  test("typedDegree equals every user's and every item's user-item edge count in the DataFrame") {
+    import org.apache.spark.sql.functions.col
+    val ratings = kg.edges.filter(col("etype") === "user-item")
+    def countsBy(side: String): Map[Long, Long] =
+      ratings.groupBy(side).count().collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+    val (byUser, byItem) = (countsBy("src"), countsBy("dst"))
+    val g = kg.graph
+    def degreesOf(t: Byte, to: Byte): Map[Long, Long] =
+      (0 until g.numVertices).filter(v => NodeIds.typeOf(g.ids(v)) == t)
+        .map(v => g.ids(v) -> KgIndex.typedDegree(g, v, to).toLong).filter(_._2 > 0).toMap
+    assert(byUser.nonEmpty && byItem.nonEmpty)
+    assert(degreesOf(NodeType.User, NodeType.Item) == byUser)
+    assert(degreesOf(NodeType.Item, NodeType.User) == byItem)
+  }
+
   test("property: edgeId is the lowest id of the edges between a pair, in either order") {
     checkProp(Prop.forAll(TestGraphs.multigraphGen(9)) { triples =>
       val g = CompactGraph.fromTriples(triples)
