@@ -87,11 +87,13 @@ object Pcst {
     var budgetCap = 0.0
     i = 0
     while (i < n) { budgetCap += prize(i); i += 1 }
-    g.search(ws, terms, 0, n, cost, budgetCap)
+    g.search(ws, terms, 0, n, g.fillCosts(ws, cost), budgetCap)
 
     // Cheapest boundary proposal per region pair: (cost, edge id), the
     // lower edge id on equal cost. There are at most n(n−1)/2 region pairs
-    // and |E| boundary edges, so the table never rehashes.
+    // and |E| boundary edges, so the table never rehashes. The scan runs
+    // in edge order and the search's cost array is in arc order (or one
+    // uniform entry), so it asks the oracle.
     val proposals = ws.proposals
     proposals.reset(math.min(n.toLong * (n - 1) / 2, g.numEdges.toLong).toInt)
     var e = 0

@@ -58,6 +58,7 @@ object SteinerTree {
     // allocation.
     val n = terms.length
     val ws = g.workspace
+    val arcCosts = g.fillCosts(ws, cost) // read by all n − 1 searches
     val bound = Math.toIntExact(n.toLong * (n - 1) / 2)
     val pairDist = ws.doubles(PairDist, bound)
     val pairI = ws.ints(PairI, bound)
@@ -68,7 +69,7 @@ object SteinerTree {
     var pairs = 0
     var i = 0
     while (i < n - 1) {
-      g.search(ws, terms, i, i + 1, cost, Double.PositiveInfinity)
+      g.search(ws, terms, i, i + 1, arcCosts, Double.PositiveInfinity)
       var j = i + 1
       while (j < n) {
         val d = ws.dist(terms(j))

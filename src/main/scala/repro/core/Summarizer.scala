@@ -57,6 +57,9 @@ object Summarizer {
     * which holds the Θ(|V|) search state and the kernels' scratch: ST's
     * Θ(|T|²) metric closure with its paths and PCST's Θ(|T|²) proposal
     * table live there, grown to the largest summary the thread has run.
+    * So do the Θ(|E|) cost buffer (one double per arc), filled once per
+    * kernel call and read by all of its searches, and the Eq. (1) overlay
+    * table.
     */
   final case class Result(scenarioId: String, family: String, method: String, k: Int,
                           subgraph: Subgraph, timeNs: Long, memModelBytes: Long)
@@ -73,9 +76,10 @@ object Summarizer {
 
       case ST(lambda) =>
         val terms = terminalIndices(g, scenario.terminals)
-        // Eq. (1) in a primitive table: the cost oracle runs on every arc
-        // relaxation and must not box.
-        val overlay = WeightAdjust.overlayTable(kg, scenario.paths, scenario.anchors, lambda)
+        // Eq. (1) in the thread's workspace table: the kernel reads the cost
+        // oracle once per arc into its cost buffer, and neither boxes.
+        val overlay = WeightAdjust.overlayTable(kg, scenario.paths, scenario.anchors, lambda,
+          g.workspace.overlay)
         var wMax = kg.maxBaseWeight
         var s = 0
         while (s < overlay.capacity) {

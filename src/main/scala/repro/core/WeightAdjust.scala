@@ -16,9 +16,11 @@ import repro.rec.ExplanationPath
   * summary follow them almost exclusively.
   *
   * [[overlayTable]] is the per-summary kernel form: a sparse edge-id →
-  * weight overlay on the broadcast CSR graph, since only path edges change.
-  * [[overlay]] copies it into a `HashMap` for the benchmark's replay; the
-  * tests check both against a DataFrame form of the formula and DuckDB.
+  * weight overlay on the broadcast CSR graph, since only path edges change,
+  * written into a table the caller owns (the summarizer passes its thread's
+  * workspace table, so a summary allocates no overlay). [[overlay]] copies
+  * it into a `HashMap` for the benchmark's replay; the tests check both
+  * against a DataFrame form of the formula and DuckDB.
   */
 object WeightAdjust {
 
@@ -27,37 +29,38 @@ object WeightAdjust {
     * `paths` (every other edge keeps its base weight). Hops that are not KG
     * edges (PLM's hallucinated hops) boost nothing — they cannot be
     * traversed by a subgraph of G.
+    *
+    * `table` is reset and returned. It is sized for the paths' total hop
+    * count, which bounds the distinct edges, so it never grows mid-fill.
     */
   def overlayTable(kg: KgIndex, paths: Seq[ExplanationPath], anchors: Int,
-                   lambda: Double): LongKeyTable = {
+                   lambda: Double, table: LongKeyTable): LongKeyTable = {
     val g = kg.graph
-    val longest = paths.foldLeft(0)((m, p) => math.max(m, p.length))
-    // Paths of one scenario share many edges, so the distinct edges number
-    // about the paths (1.1–1.3 per path on ML1M-sim), far fewer than the
-    // hops; the table grows if there are more.
-    val table = new LongKeyTable(paths.length)
-    val seen = new Array[Int](longest) // edge ids met so far on the current path
-    paths.foreach { p =>
-      val nodes = p.nodes
-      var distinct = 0
+    var hops = 0
+    var it = paths.iterator
+    while (it.hasNext) hops += it.next().length
+    table.reset(hops)
+    // While counting, an entry's double holds the index of the last path
+    // that counted it: an edge counts once per path, however often the
+    // path walks it.
+    var path = 0
+    it = paths.iterator
+    while (it.hasNext) {
+      val nodes = it.next().nodes
       var a = g.find(nodes(0))
       var h = 1
       while (h < nodes.length) {
         val b = g.find(nodes(h))
         val e = if (a < 0 || b < 0) -1 else kg.edgeId(a, b)
         if (e >= 0) {
-          // An edge counts once per path, however often the path walks it.
-          var k = 0
-          while (k < distinct && seen(k) != e) k += 1
-          if (k == distinct) {
-            seen(distinct) = e; distinct += 1
-            val s = table.find(e)
-            table.put(e, 0.0, if (s < 0) 1 else table.intAt(s) + 1)
-          }
+          val s = table.find(e)
+          if (s < 0) table.put(e, path, 1)
+          else if (table.doubleAt(s) != path) table.put(e, path, table.intAt(s) + 1)
         }
         a = b
         h += 1
       }
+      path += 1
     }
     val n = math.max(1, anchors).toDouble
     var s = 0
@@ -71,10 +74,10 @@ object WeightAdjust {
     table
   }
 
-  /** [[overlayTable]] as a map edge id → adjusted weight. */
+  /** [[overlayTable]] in a fresh table, as a map edge id → adjusted weight. */
   def overlay(kg: KgIndex, paths: Seq[ExplanationPath], anchors: Int,
               lambda: Double): java.util.HashMap[Integer, java.lang.Double] = {
-    val table = overlayTable(kg, paths, anchors, lambda)
+    val table = overlayTable(kg, paths, anchors, lambda, new LongKeyTable(0))
     val out = new java.util.HashMap[Integer, java.lang.Double](table.size)
     var s = 0
     while (s < table.capacity) {

@@ -3,13 +3,20 @@ package repro.graph
 import org.apache.spark.sql.DataFrame
 
 /** Per-edge cost oracle used by the tree kernels. Indexed by *edge id*
-  * (position in the original directed edge list), not by arc.
+  * (position in the original directed edge list), not by arc. A kernel
+  * reads the costs once per call ([[CompactGraph.fillCosts]]) and
+  * searches on what that returns.
   */
 trait EdgeCost extends Serializable { def apply(edge: Int): Double }
 
 object EdgeCost {
   /** Uniform cost `c` for every edge (the paper's unweighted PCST setting). */
-  def uniform(c: Double): EdgeCost = (_: Int) => c
+  def uniform(c: Double): EdgeCost = Uniform(c)
+
+  /** Searched as one cost for every arc: no fill, no per-arc read. */
+  private[graph] final case class Uniform(c: Double) extends EdgeCost {
+    override def apply(edge: Int): Double = c
+  }
 }
 
 /** Result of a single-source Dijkstra run: `dist(v)` is the shortest-path
@@ -103,11 +110,14 @@ final class CompactGraph(
     *                if that range is empty). Early stopping is what keeps
     *                Algorithm 1 fast — terminals of one summary live within
     *                a few hops.
-    * @param cost    edge cost oracle; must be > 0 for every edge
+    * @param cost    arc → cost of its edge, or one cost that every arc has,
+    *                as [[fillCosts]] returns it; every cost must be ≥ 0 (the
+    *                kernels' are > 0), which the fill checks
     * @param maxDist vertices farther than this are never reached
     */
-  def search(ws: SearchSpace, terms: Array[Int], from: Int, until: Int, cost: EdgeCost,
+  def search(ws: SearchSpace, terms: Array[Int], from: Int, until: Int, cost: Array[Double],
              maxDist: Double): Unit = {
+    val perArc = if (cost.length == 1) 0 else -1 // index mask: a lone cost is every arc's
     ws.begin()
     var s = from
     while (s < until) {
@@ -141,7 +151,7 @@ final class CompactGraph(
           while (a < end) {
             val v = arcTarget(a)
             if (!ws.settled(v)) {
-              val nd = du + cost(arcEdge(a))
+              val nd = du + cost(a & perArc)
               if (nd < ws.dist(v) && nd <= maxDist) ws.relax(v, nd, a, ou)
             }
             a += 1
@@ -151,6 +161,38 @@ final class CompactGraph(
     }
   }
 
+  /** The costs for the [[search]]es of one kernel call, in `ws`: the
+    * oracle runs 2|E| times per call instead of once per arc relaxation.
+    * Writes `cost(arcEdge(a))` for every arc `a` into the cost buffer, so a
+    * relaxation reads its cost next to its arc; a uniform cost is returned
+    * as a one-entry array instead, which [[search]] applies to every arc
+    * and which costs no fill. A NaN or negative cost would break
+    * Dijkstra's settled invariant without a trace, so it throws here,
+    * naming the edge.
+    */
+  def fillCosts(ws: SearchSpace, cost: EdgeCost): Array[Double] = cost match {
+    case EdgeCost.Uniform(c) =>
+      if (numEdges > 0) checkCost(0, c)
+      val one = ws.uniformCost
+      one(0) = c
+      one
+    case _ =>
+      val arcs = arcEdge.length
+      val buf = ws.costs(arcs)
+      var a = 0
+      while (a < arcs) {
+        val e = arcEdge(a)
+        val c = cost(e)
+        checkCost(e, c)
+        buf(a) = c
+        a += 1
+      }
+      buf
+  }
+
+  private def checkCost(e: Int, c: Double): Unit =
+    if (!(c >= 0)) throw new IllegalArgumentException(s"edge $e has cost $c; edge costs must be >= 0")
+
   /** Single-source Dijkstra: [[search]] from `source`, copied out of the
     * calling thread's workspace.
     *
@@ -159,7 +201,7 @@ final class CompactGraph(
   def dijkstra(source: Int, cost: EdgeCost, targets: Array[Int] = null): SsspResult = {
     val ws = workspace
     val terms = if (targets == null) Array(source) else source +: targets
-    search(ws, terms, 0, 1, cost, Double.PositiveInfinity)
+    search(ws, terms, 0, 1, fillCosts(ws, cost), Double.PositiveInfinity)
     val (dist, predArc, _) = copyOut(ws)
     SsspResult(source, dist, predArc)
   }
@@ -202,7 +244,7 @@ final class CompactGraph(
   def voronoi(sources: Array[Int], cost: EdgeCost,
               maxDist: Double = Double.PositiveInfinity): (Array[Double], Array[Int], Array[Int]) = {
     val ws = workspace
-    search(ws, sources, 0, sources.length, cost, maxDist)
+    search(ws, sources, 0, sources.length, fillCosts(ws, cost), maxDist)
     copyOut(ws)
   }
 
@@ -244,6 +286,13 @@ final class CompactGraph(
   * `SteinerTree` and `Pcst` share it. Like the per-vertex arrays, the
   * scratch lives as long as the thread: it grows geometrically to the
   * largest summary the thread has run and is never shrunk.
+  *
+  * Two more per-thread pieces are sized by the graph's edges, not by a
+  * summary: the cost buffer that [[CompactGraph.fillCosts]] writes once
+  * per kernel call with a non-uniform cost and every [[CompactGraph.search]]
+  * of the call reads (2|E| doubles in arc order, allocated on first use),
+  * and the Eq. (1) overlay table, which the summarizer fills before a
+  * kernel runs and no kernel touches.
   */
 final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
   private var epoch      = startEpoch
@@ -264,12 +313,29 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
   private var edgeEpoch  = 0
   private var edgeList   = new Array[Int](16)
   private var edgeCount  = 0
+  private var costBuf    = new Array[Double](0)
 
   /** Union–find over a summary's terminals; `reset` it before use. */
   val terminalSets = new DisjointSet(0)
 
   /** PCST's cheapest boundary proposal per region pair; `reset` it before use. */
   val proposals = new LongKeyTable(0)
+
+  /** The Eq. (1) weight overlay of the summary being computed on this
+    * thread; no kernel touches it.
+    */
+  val overlay = new LongKeyTable(0)
+
+  /** The arc-cost buffer, with at least `arcs` entries. Arcs come in
+    * pairs, so it never has the one entry of a uniform cost.
+    */
+  private[graph] def costs(arcs: Int): Array[Double] = {
+    if (costBuf.length < arcs) costBuf = new Array[Double](arcs)
+    costBuf
+  }
+
+  /** The one-entry cost array of a uniform cost. */
+  private[graph] val uniformCost = new Array[Double](1)
 
   /** `Int` buffer number `slot` (`0 until IntBuffers`), with at least
     * `size` entries. Growing it keeps its contents.

@@ -42,9 +42,10 @@ object GraphStats {
     val rnd = new scala.util.Random(seed)
     val sources = Array.fill(math.min(sampleSources, g.numVertices))(rnd.nextInt(g.numVertices))
     val ws = g.workspace
+    val unit = g.fillCosts(ws, EdgeCost.uniform(1.0))
     var sumDist = 0.0; var nPairs = 0L; var diameter = 0
     sources.foreach { s =>
-      g.search(ws, Array(s), 0, 1, EdgeCost.uniform(1.0), Double.PositiveInfinity)
+      g.search(ws, Array(s), 0, 1, unit, Double.PositiveInfinity)
       var v = 0
       while (v < g.numVertices) {
         val h = ws.dist(v)

@@ -2,10 +2,10 @@ package repro.graph
 
 /** Open-addressing hash table from `long` keys to a (`double`, `int`) value
   * pair, on parallel primitive arrays with linear probing, so a lookup or an
-  * update boxes nothing. It holds the kernels' per-summary sparse maps: the
-  * Eq. (1) weight overlay (edge id → weight, path count) and PCST's cheapest
-  * boundary proposal per region pair (pair key → cost, edge id); and
-  * `KgIndex`'s undirected edge lookup (pair key → edge id).
+  * update boxes nothing. It holds the per-summary sparse maps that live in
+  * each thread's `SearchSpace`: the Eq. (1) weight overlay (edge id →
+  * weight, path count) and PCST's cheapest boundary proposal per region
+  * pair (pair key → cost, edge id).
   *
   * [[reset]] empties the table for reuse. The table then uses only the
   * first `capacity` slots of its arrays, sized for the new expected count,

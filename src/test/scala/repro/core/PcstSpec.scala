@@ -71,6 +71,14 @@ class PcstSpec extends AnyFunSuite with PropSupport {
     assert(terms.forall(t => ds.connected(terms(0), t)))
   }
 
+  test("parallel boundary edges in either direction: the lowest edge id wins, self-loops never") {
+    Seq(Seq((2L, 1L, 1.0), (1L, 2L, 1.0)), Seq((1L, 2L, 1.0), (2L, 1L, 1.0))).foreach { pair =>
+      val g = CompactGraph.fromTriples(Seq((1L, 1L, 1.0), (2L, 2L, 1.0)) ++ pair)
+      val r = Pcst.summarize(g, unit, Array(g.indexOf(1), g.indexOf(2)), Array(1.0, 1.0))
+      assert(r.edgeIds.sameElements(Array(2)), r.edgeIds.mkString(","))
+    }
+  }
+
   test("deterministic across runs") {
     val g = CompactGraph.fromTriples(Seq(
       (0L, 1L, 1.0), (1L, 2L, 1.0), (2L, 3L, 1.0), (0L, 3L, 1.0), (1L, 3L, 1.0)))

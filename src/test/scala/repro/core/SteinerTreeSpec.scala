@@ -75,6 +75,14 @@ class SteinerTreeSpec extends AnyFunSuite with PropSupport {
     assert(nodes.contains(g.indexOf(1)) && !nodes.contains(g.indexOf(2)))
   }
 
+  test("a NaN edge cost is rejected, naming the edge") {
+    val g = CompactGraph.fromTriples(Seq((0L, 1L, 1.0), (1L, 2L, 1.0), (0L, 2L, 5.0)))
+    val nan: EdgeCost = (e: Int) => if (e == 1) Double.NaN else g.edgeWeight(e)
+    val err = intercept[IllegalArgumentException](
+      SteinerTree.summarize(g, nan, Array(g.indexOf(0), g.indexOf(2))))
+    assert(err.getMessage.contains("edge 1 has cost NaN"), err.getMessage)
+  }
+
   test("deterministic across repeated runs") {
     val g = CompactGraph.fromTriples(Seq(
       (0L, 1L, 1.0), (1L, 2L, 2.0), (2L, 3L, 1.0), (0L, 3L, 2.5), (1L, 3L, 2.0)))

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.lang.management.ManagementFactory
 import repro.SparkSpec
 import repro.eval.TableIExample
 import repro.kg.{KGBuilder, KgIndex, MLSynth, NodeType}
@@ -150,6 +151,23 @@ class SummarizerSpec extends SparkSpec {
     val s = Summarizer.summarize(mlIdx, UserCentric(g.ids(u), paths), Summarizer.ST(1.0)).subgraph
     assert(s.componentCount <= 1 + s.isolated.length)
     assert(s.coveredTerminals.nonEmpty)
+  }
+
+  test("the Eq. (1) overlay into the workspace table allocates under 1 KB once warm") {
+    val rec = new Pgpr
+    val g = mlIdx.graph
+    val users = (0 until g.numVertices)
+      .filter(v => mlIdx.vtype(v) == NodeType.User && g.degree(v) >= 5).take(40)
+    val group = UserGroup("g40", users.map(g.ids(_)), users.flatMap(u => rec.recommend(mlIdx, u, 10, seed = 3L)))
+    assert(users.size == 40 && group.paths.size > 100, s"${group.paths.size} paths")
+    val table = g.workspace.overlay
+    val bean = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    WeightAdjust.overlayTable(mlIdx, group.paths, group.anchors, 1.0, table)
+    val before = bean.getCurrentThreadAllocatedBytes
+    WeightAdjust.overlayTable(mlIdx, group.paths, group.anchors, 1.0, table)
+    val allocated = bean.getCurrentThreadAllocatedBytes - before
+    info(s"${group.paths.size} paths, ${table.size} overlay edges: $allocated B")
+    assert(allocated < 1024, s"a warm overlay allocated $allocated bytes")
   }
 
   test("method labels are stable identifiers for the harness") {

@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop}
 import repro.{Oracle, PropSupport, SparkSpec}
 import repro.eval.TableIExample
-import repro.graph.{CompactGraph, TestGraphs}
+import repro.graph.{CompactGraph, LongKeyTable, TestGraphs}
 import repro.kg.KgIndex
 import repro.rec.ExplanationPath
 
@@ -96,9 +96,25 @@ class WeightAdjustSpec extends SparkSpec with PropSupport {
     out
   }
 
+  /** `count` random walks over `g` that revisit hops, step to non-adjacent
+    * nodes and to a node outside the graph.
+    */
+  private def randomWalks(g: CompactGraph, rnd: scala.util.Random, count: Int): Seq[ExplanationPath] = {
+    val nodes = g.ids :+ 999L
+    def step(id: Long): Long = {
+      val v = g.find(id)
+      if (v >= 0 && g.degree(v) > 0 && rnd.nextInt(4) > 0)
+        g.ids(g.arcTarget(g.offsets(v) + rnd.nextInt(g.degree(v))))
+      else nodes(rnd.nextInt(nodes.length))
+    }
+    Seq.fill(count) {
+      val walk = Vector.iterate(nodes(rnd.nextInt(nodes.length)), 1 + rnd.nextInt(6))(step)
+      val back = if (rnd.nextBoolean()) walk ++ walk.reverse.tail else walk
+      ExplanationPath(back.head, back.last, 1, back)
+    }
+  }
+
   test("property: overlayTable and overlay equal the boxed overlay") {
-    // Random walks over a random graph that revisit hops, step to
-    // non-adjacent nodes and to a node outside the graph.
     val gen = for {
       triples <- TestGraphs.randomGraphGen(10)
       seed <- Gen.choose(0L, Long.MaxValue)
@@ -109,20 +125,9 @@ class WeightAdjustSpec extends SparkSpec with PropSupport {
       val g = CompactGraph.fromTriples(triples)
       val kg = new KgIndex(g)
       val rnd = new scala.util.Random(seed)
-      val nodes = g.ids :+ 999L
-      def step(id: Long): Long = {
-        val v = g.find(id)
-        if (v >= 0 && g.degree(v) > 0 && rnd.nextInt(4) > 0)
-          g.ids(g.arcTarget(g.offsets(v) + rnd.nextInt(g.degree(v))))
-        else nodes(rnd.nextInt(nodes.length))
-      }
-      val paths = Seq.fill(rnd.nextInt(6)) {
-        val walk = Vector.iterate(nodes(rnd.nextInt(nodes.length)), 1 + rnd.nextInt(6))(step)
-        val back = if (rnd.nextBoolean()) walk ++ walk.reverse.tail else walk
-        ExplanationPath(back.head, back.last, 1, back)
-      }
+      val paths = randomWalks(g, rnd, rnd.nextInt(6))
       val expected = boxedOverlay(kg, paths, anchors, lambda)
-      val table = WeightAdjust.overlayTable(kg, paths, anchors, lambda)
+      val table = WeightAdjust.overlayTable(kg, paths, anchors, lambda, new LongKeyTable(0))
       val tableMatches = table.size == expected.size() && {
         var ok = true
         expected.forEach { (e, w) =>
@@ -133,6 +138,27 @@ class WeightAdjustSpec extends SparkSpec with PropSupport {
       }
       tableMatches && WeightAdjust.overlay(kg, paths, anchors, lambda) == expected
     }, minTests = 100)
+  }
+
+  test("property: one table reused over growing, shrinking, growing path sets equals fresh tables") {
+    def sameContents(a: LongKeyTable, b: LongKeyTable): Boolean =
+      a.size == b.size && (0 until b.capacity).filter(b.isOccupied).forall { s =>
+        val t = a.find(b.keyAt(s))
+        t >= 0 && a.doubleAt(t) == b.doubleAt(s) && a.intAt(t) == b.intAt(s)
+      }
+    checkProp(Prop.forAll(TestGraphs.randomGraphGen(10), Gen.choose(0L, Long.MaxValue)) { (triples, seed) =>
+      val g = CompactGraph.fromTriples(triples)
+      val kg = new KgIndex(g)
+      val rnd = new scala.util.Random(seed)
+      val reused = new LongKeyTable(0)
+      Seq(1, 6, 40, 3, 0, 2, 80).forall { count =>
+        val paths = randomWalks(g, rnd, count)
+        val hops = paths.map(_.length).sum
+        val table = WeightAdjust.overlayTable(kg, paths, anchors = 3, lambda = 2.0, reused)
+        val fresh = WeightAdjust.overlayTable(kg, paths, anchors = 3, lambda = 2.0, new LongKeyTable(0))
+        (table eq reused) && reused.capacity >= 2 * hops && sameContents(reused, fresh)
+      }
+    }, minTests = 50)
   }
 
   test("DataFrame form matches the overlay kernel on every path edge") {

@@ -17,7 +17,7 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     */
   private def shortestPath(g: CompactGraph, source: Int, v: Int): Array[Int] = {
     val ws = g.workspace
-    g.search(ws, Array(source), 0, 1, byWeight(g), Double.PositiveInfinity)
+    g.search(ws, Array(source), 0, 1, g.fillCosts(ws, byWeight(g)), Double.PositiveInfinity)
     val path = new Array[Int](g.pathLength(ws, v))
     g.writePath(ws, v, path, path.length)
     path
@@ -95,6 +95,55 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     }, minTests = 25)
   }
 
+  test("property: searches on a filled cost buffer match Floyd-Warshall") {
+    checkProp(Prop.forAll(TestGraphs.randomGraphGen(10)) { triples =>
+      val g = CompactGraph.fromTriples(triples)
+      val cost = byWeight(g)
+      val fw = TestGraphs.floydWarshall(g, cost)
+      val ws = new SearchSpace(g.numVertices)
+      val costs = g.fillCosts(ws, cost) // filled once, read by every search below
+      (0 until 2 * g.numEdges).forall(a => costs(a) == cost(g.arcEdge(a))) &&
+        (0 until g.numVertices).forall { s =>
+          g.search(ws, Array(s), 0, 1, costs, Double.PositiveInfinity)
+          (0 until g.numVertices).forall { v =>
+            val (a, b) = (ws.dist(v), fw(s)(v))
+            (a.isInfinity && b.isInfinity) || math.abs(a - b) < 1e-9
+          }
+        }
+    }, minTests = 25)
+  }
+
+  test("property: a uniform cost's one-entry array searches like a per-arc buffer of it") {
+    checkProp(Prop.forAll(TestGraphs.multigraphGen(12), Gen.choose(0, 11)) { (triples, source) =>
+      val g = CompactGraph.fromTriples(triples)
+      val (one, perArc) = (new SearchSpace(g.numVertices), new SearchSpace(g.numVertices))
+      val lone = g.fillCosts(one, EdgeCost.uniform(0.25))
+      val full = g.fillCosts(perArc, (_: Int) => 0.25)
+      val s = source % g.numVertices
+      g.search(one, Array(s), 0, 1, lone, 1.0)
+      g.search(perArc, Array(s), 0, 1, full, 1.0)
+      lone.length == 1 && full.length == 2 * g.numEdges && (0 until g.numVertices).forall { v =>
+        one.dist(v) == perArc.dist(v) && one.predArc(v) == perArc.predArc(v) && one.settled(v) == perArc.settled(v)
+      }
+    }, minTests = 50)
+  }
+
+  test("fillCosts rejects a NaN or negative edge cost, naming the edge") {
+    val g = diamond
+    val ws = new SearchSpace(g.numVertices)
+    Seq(Double.NaN, -0.5).foreach { bad =>
+      val oracle: EdgeCost = (e: Int) => if (e == 3) bad else 1.0
+      val err = intercept[IllegalArgumentException](g.fillCosts(ws, oracle))
+      assert(err.getMessage.contains(s"edge 3 has cost $bad"), err.getMessage)
+      val uniform = intercept[IllegalArgumentException](g.fillCosts(ws, EdgeCost.uniform(bad)))
+      assert(uniform.getMessage.contains(s"edge 0 has cost $bad"), uniform.getMessage)
+    }
+    // Zero and +∞ are legal: a free edge, and one no search crosses.
+    val costs = g.fillCosts(ws, (e: Int) => if (e == 4) Double.PositiveInfinity else 0.0)
+    g.search(ws, Array(g.indexOf(0)), 0, 1, costs, Double.PositiveInfinity)
+    assert((0 until g.numVertices).forall(v => ws.dist(v) == 0.0))
+  }
+
   test("property: path edge costs sum to the reported distance") {
     checkProp(Prop.forAll(TestGraphs.randomGraphGen(10)) { triples =>
       val g = CompactGraph.fromTriples(triples)
@@ -168,8 +217,8 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
       val maxDist = if (rnd.nextBoolean()) Double.PositiveInfinity else 0.5 + 2 * rnd.nextDouble()
       val fresh = new SearchSpace(g.numVertices)
       val terms = sources ++ targets
-      g.search(ws, terms, 0, sources.length, cost, maxDist)
-      g.search(fresh, terms, 0, sources.length, cost, maxDist)
+      g.search(ws, terms, 0, sources.length, g.fillCosts(ws, cost), maxDist)
+      g.search(fresh, terms, 0, sources.length, g.fillCosts(fresh, cost), maxDist)
       (0 until g.numVertices).forall { v =>
         ws.dist(v) == fresh.dist(v) && ws.predArc(v) == fresh.predArc(v) &&
           ws.owner(v) == fresh.owner(v) && ws.settled(v) == fresh.settled(v)
@@ -220,7 +269,7 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
   /** Distances of a unit-cost search from `source`, as the graph statistics run it. */
   private def hops(g: CompactGraph, source: Int): Array[Double] = {
     val ws = g.workspace
-    g.search(ws, Array(source), 0, 1, EdgeCost.uniform(1.0), Double.PositiveInfinity)
+    g.search(ws, Array(source), 0, 1, g.fillCosts(ws, EdgeCost.uniform(1.0)), Double.PositiveInfinity)
     Array.tabulate(g.numVertices)(ws.dist)
   }
 

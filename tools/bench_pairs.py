@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Compare the working tree with a parent revision on the benchmark, in pairs.
+
+Run from the repository root:
+
+    python3 tools/bench_pairs.py --seeds 1-10 --seconds 10
+
+For every workload and seed, runs `perfbench/run.py --seconds S --trace 0`
+once in a checkout of the parent revision and once in the working tree,
+alternating which side runs first from seed to seed, so slow drift of a
+shared host lands on both sides of a pair. The parent is checked out into a
+temporary `git worktree`, removed at the end (or taken from `--parent-dir`).
+Prints, per workload and metric, the median and quartiles of each side,
+the relative change of the medians and in how many pairs the change was
+lower, for the gated metrics of BENCHMARK.json plus `st_ms_p50` and
+`pcst_ms_p50`. Exits 1 if any run is not `correct` or fails, and leaves
+perfbench/ and BENCHMARK.json alone.
+"""
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+EXTRA = ("st_ms_p50", "pcst_ms_p50")
+
+
+def seeds(spec):
+    """'1-10' or '1,4,7' (or a mix) → list of ints."""
+    out = []
+    for part in spec.split(","):
+        lo, _, hi = part.partition("-")
+        out += range(int(lo), int(hi or lo) + 1)
+    return out
+
+
+def quartiles(xs):
+    """(q1, median, q3) by linear interpolation between order statistics."""
+    s = sorted(xs)
+
+    def at(p):
+        k = (len(s) - 1) * p
+        i = int(k)
+        return s[i] if i + 1 == len(s) else s[i] + (s[i + 1] - s[i]) * (k - i)
+    return at(0.25), at(0.5), at(0.75)
+
+
+def run(checkout, workload, seed, seconds):
+    """One benchmark run in `checkout`: (correct, {metric: value})."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    lines = proc.stdout.splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        return False, {}
+    metrics = {}
+    for line in lines:
+        f = line.split()
+        if len(f) >= 3 and f[0] == "metric":
+            metrics[f[1]] = float(f[2])
+    correct = proc.returncode == 0 and result.get("correct") is True and result.get("failed") == 0
+    return correct, metrics
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", default="HEAD", help="revision to compare against (default HEAD)")
+    p.add_argument("--parent-dir", help="an existing checkout of the parent, instead of a worktree")
+    p.add_argument("--workloads", default="uc-ksweep,user-group")
+    p.add_argument("--seeds", default="1-10", help="e.g. 1-10 or 1,3,5")
+    p.add_argument("--seconds", type=int, default=10)
+    a = p.parse_args()
+    root = os.getcwd()
+    with open(os.path.join(root, "BENCHMARK.json")) as f:
+        gated = [m["name"] for m in json.load(f)["end_to_end"]]
+    names = gated + [m for m in EXTRA if m not in gated]
+    workloads = a.workloads.split(",")
+
+    worktree = None
+    parent = a.parent_dir
+    if parent is None:
+        worktree = tempfile.mkdtemp(prefix="bench-parent-")
+        subprocess.run(["git", "worktree", "add", "--detach", worktree, a.parent], cwd=root, check=True,
+                       stdout=subprocess.DEVNULL)
+        parent = worktree
+    values = {(w, side, m): [] for w in workloads for side in ("parent", "change") for m in names}
+    lower = {(w, m): 0 for w in workloads for m in names}
+    pairs = {w: 0 for w in workloads}
+    bad = []
+    sides = [("parent", parent), ("change", root)]
+    try:
+        for i, seed in enumerate(seeds(a.seeds)):
+            for w in workloads:
+                got = {}
+                for side, checkout in (sides if i % 2 == 0 else sides[::-1]):
+                    correct, metrics = run(checkout, w, seed, a.seconds)
+                    print(f"{w} seed={seed} {side}: correct={correct} " +
+                          " ".join(f"{m}={metrics.get(m)}" for m in names), flush=True)
+                    if not correct or any(m not in metrics for m in names):
+                        bad.append(f"{w} seed={seed} {side}")
+                    got[side] = metrics
+                if all(m in got[s] for s in got for m in names):
+                    pairs[w] += 1
+                    for m in names:
+                        for side in got:
+                            values[(w, side, m)].append(got[side][m])
+                        lower[(w, m)] += got["change"][m] < got["parent"][m]
+    finally:
+        if worktree is not None:
+            subprocess.run(["git", "worktree", "remove", "--force", worktree], cwd=root)
+
+    print()
+    print(f"{'workload':<11} {'metric':<14} {'parent median [q1, q3]':<40} "
+          f"{'change median [q1, q3]':<40} {'change':>7}  lower")
+    for w in workloads:
+        for m in names:
+            if not pairs[w]:
+                continue
+            pq1, pm, pq3 = quartiles(values[(w, "parent", m)])
+            cq1, cm, cq3 = quartiles(values[(w, "change", m)])
+            rel = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
+            print(f"{w:<11} {m:<14} {f'{pm:.6g} [{pq1:.6g}, {pq3:.6g}]':<40} "
+                  f"{f'{cm:.6g} [{cq1:.6g}, {cq3:.6g}]':<40} {rel:>7}  {lower[(w, m)]}/{pairs[w]}")
+    if bad:
+        print("runs not correct or incomplete: " + "; ".join(bad))
+        sys.exit(1)
+
+
+if __name__ == "__main__":
+    main()
