@@ -19,9 +19,9 @@ import repro.graph.{CompactGraph, EdgeCost, IndexSort}
   *  1. one multi-source Dijkstra from all terminals partitions the graph
   *     into Voronoi regions (single pass ⇒ runtime independent of |T|,
   *     the scalability behaviour reported in Figs 9–11);
-  *  2. every edge joining two regions proposes a connection of cost
-  *     dist(u) + w'(e) + dist(v); the cheapest proposal per region pair
-  *     survives;
+  *  2. in the same pass, every edge joining two regions proposes a
+  *     connection of cost dist(u) + w'(e) + dist(v); the cheapest proposal
+  *     per region pair survives (`CompactGraph.search`);
   *  3. proposals are scanned in Kruskal order and accepted while
   *     cost ≤ remaining prize budget of the two components; an accepted
   *     merge spends that budget.
@@ -88,27 +88,7 @@ object Pcst {
     i = 0
     while (i < n) { budgetCap += prize(i); i += 1 }
     g.search(ws, terms, 0, n, g.fillCosts(ws, cost), budgetCap)
-
-    // Cheapest boundary proposal per region pair: (cost, edge id), the
-    // lower edge id on equal cost. There are at most n(n−1)/2 region pairs
-    // and |E| boundary edges, so the table never rehashes. The scan runs
-    // in edge order and the search's cost array is in arc order (or one
-    // uniform entry), so it asks the oracle.
     val proposals = ws.proposals
-    proposals.reset(math.min(n.toLong * (n - 1) / 2, g.numEdges.toLong).toInt)
-    var e = 0
-    while (e < g.numEdges) {
-      val u = g.edgeSrc(e); val v = g.edgeDst(e)
-      val ou = ws.owner(u); val ov = ws.owner(v)
-      if (ou >= 0 && ov >= 0 && ou != ov) {
-        val c = ws.dist(u) + cost(e) + ws.dist(v)
-        val key = if (ou < ov) (ou.toLong << 32) | ov else (ov.toLong << 32) | ou
-        val cur = proposals.find(key)
-        if (cur < 0 || c < proposals.doubleAt(cur) || (c == proposals.doubleAt(cur) && e < proposals.intAt(cur)))
-          proposals.put(key, c, e)
-      }
-      e += 1
-    }
 
     // Kruskal-ordered prize-aware merging, in (cost, key) order: the keys
     // sorted ascending, then a stable index sort by cost. The sort also

@@ -40,26 +40,4 @@ final case class Subgraph(
     * unions, distinct edge count for summaries.
     */
   def edgeOccurrences: Int = allEdges.length
-
-  /** Terminals actually present in V_S. */
-  def coveredTerminals: Array[Long] = {
-    val v = nodes.toSet
-    terminals.filter(v.contains)
-  }
-
-  /** True iff every node of S is reachable from every other using S's
-    * edges as undirected (the problem's weak-connectivity requirement),
-    * treating each isolated terminal as its own trivial component and
-    * allowing a forest when terminals span several KG components.
-    */
-  def componentCount: Int = {
-    val ids = nodes.zipWithIndex.toMap
-    val ds = new repro.graph.DisjointSet(ids.size)
-    edges.foreach(e => ds.union(ids(e.src), ids(e.dst)))
-    ds.components
-  }
-}
-
-object Subgraph {
-  val empty: Subgraph = Subgraph(Array.empty, Array.empty, Array.empty, Array.empty, 0)
 }

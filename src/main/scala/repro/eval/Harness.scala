@@ -23,8 +23,8 @@ object Harness {
     * EXPERIMENTS.md. Every grid has two user groups and two item groups
     * (popular and unpopular), and runs the paths baseline, ST at the paper's
     * λ ∈ {0.01, 1, 100} and PCST at its default edge cost. A bad field (an
-    * empty `kSet`, a k or a size below 1, a negative pool) throws an
-    * `IllegalArgumentException` naming it.
+    * empty `kSet`, a repeated k, a k or a size below 1, a negative pool)
+    * throws an `IllegalArgumentException` naming it.
     */
   final case class Config(
       kSet: Seq[Int] = 1 to 10,
@@ -36,7 +36,8 @@ object Harness {
       itemGroupSize: Int = 20,
       seed: Long = 17L,
   ) {
-    require(kSet.nonEmpty && kSet.forall(_ >= 1), s"Harness.Config.kSet must be non-empty, all k >= 1: $kSet")
+    require(kSet.nonEmpty && kSet.forall(_ >= 1) && kSet.distinct.size == kSet.size,
+      s"Harness.Config.kSet must be non-empty and distinct, all k >= 1: $kSet")
     Seq("usersPerGender" -> usersPerGender, "itemsHalf" -> itemsHalf, "groupSize" -> groupSize,
         "itemGroupSize" -> itemGroupSize, "maxUsersPerItem" -> maxUsersPerItem)
       .foreach { case (field, v) => require(v >= 1, s"Harness.Config.$field must be >= 1, got $v") }
@@ -121,7 +122,7 @@ object Harness {
   }
 
   /** All (k, scenario) pairs of the grid. */
-  private def buildScenarios(cfg: Config,
+  private[eval] def buildScenarios(cfg: Config,
                              sampledUsers: Seq[Long], sampledItems: Seq[Long],
                              males: Seq[Long], popItems: Seq[Long], unpopItems: Seq[Long],
                              topPaths: Map[Long, Seq[ExplanationPath]]): Seq[(Int, Scenario)] = {
@@ -151,11 +152,7 @@ object Harness {
       val itemGroups = Seq("pop" -> popItems.take(cfg.itemGroupSize),
                            "unpop" -> unpopItems.take(cfg.itemGroupSize))
         .flatMap { case (tag, items) =>
-          val itemSet = items.toSet
-          val paths = poolPaths
-            .flatMap { case (_, ps) => ps.filter(p => p.rank <= k && itemSet.contains(p.item)) }
-            .groupBy(_.item).toSeq.sortBy(_._1)
-            .flatMap { case (_, ps) => ps.take(cfg.maxUsersPerItem) }
+          val paths = items.sorted.flatMap(i => byItem.getOrElse(i, Nil).take(cfg.maxUsersPerItem))
           if (paths.isEmpty) None else Some(k -> ItemGroup(tag, items, paths))
         }
 

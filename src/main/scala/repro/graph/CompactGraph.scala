@@ -99,6 +99,16 @@ final class CompactGraph(
     * `ws` afterwards: `dist`, `predArc` and `owner`, the index *into
     * `terms`* of the closest source.
     *
+    * A search with two or more sources also leaves in `ws.proposals` the
+    * boundary proposals of Algorithm 2, the cheapest connection between
+    * each pair of regions (Mehlhorn's construction): for every edge `e`
+    * whose endpoints settle with different owners `a < b`, key
+    * `(a << 32) | b` holds the least `dist(edgeSrc(e)) + cost(e) +
+    * dist(edgeDst(e))` and the lowest edge id among those of that cost.
+    * Each edge is offered once, when its later endpoint settles, so both
+    * distances are final; a search that stops early offers only the edges
+    * it scanned. A single-source search leaves the proposals alone.
+    *
     * The sources and the settle-set are ranges of one array, so a kernel
     * passes slices of its terminal array without copying them.
     *
@@ -118,6 +128,11 @@ final class CompactGraph(
   def search(ws: SearchSpace, terms: Array[Int], from: Int, until: Int, cost: Array[Double],
              maxDist: Double): Unit = {
     val perArc = if (cost.length == 1) 0 else -1 // index mask: a lone cost is every arc's
+    val proposing = until - from >= 2
+    if (proposing) { // at most one proposal per region pair and per edge: the table never rehashes
+      val n = (until - from).toLong
+      ws.proposals.reset(math.min(n * (n - 1) / 2, numEdges.toLong).toInt)
+    }
     ws.begin()
     var s = from
     while (s < until) {
@@ -153,12 +168,34 @@ final class CompactGraph(
             if (!ws.settled(v)) {
               val nd = du + cost(a & perArc)
               if (nd < ws.dist(v) && nd <= maxDist) ws.relax(v, nd, a, ou)
+            } else if (proposing) {
+              val ov = ws.owner(v)
+              if (ov != ou) propose(ws, a, v, du, cost(a & perArc), ou, ov)
             }
             a += 1
           }
         }
       }
     }
+  }
+
+  // Offers the edge of arc a, from u at distance du to v, as the connection
+  // of regions ou and ov: the lower cost wins, then the lower edge id. The
+  // sum runs in the edge's own direction, so it does not depend on which
+  // endpoint settled last. Its two orders agree whenever it is exact (a
+  // uniform cost of 0.25 and its multiples); only when they differ is the
+  // edge's source read, which lies far from the arc in memory.
+  private def propose(ws: SearchSpace, a: Int, v: Int, du: Double, c: Double, ou: Int, ov: Int): Unit = {
+    val e = arcEdge(a)
+    val dv = ws.dist(v)
+    val fromU = du + c + dv
+    val fromV = dv + c + du
+    val total = if (fromU == fromV || edgeSrc(e) != v) fromU else fromV
+    val key = if (ou < ov) (ou.toLong << 32) | ov else (ov.toLong << 32) | ou
+    val p = ws.proposals
+    val cur = p.find(key)
+    if (cur < 0 || total < p.doubleAt(cur) || (total == p.doubleAt(cur) && e < p.intAt(cur)))
+      p.put(key, total, e)
   }
 
   /** The costs for the [[search]]es of one kernel call, in `ws`: the
@@ -262,8 +299,8 @@ final class CompactGraph(
 }
 
 /** Reusable state of [[CompactGraph.search]]: distances, predecessor arcs,
-  * owners, settled and target flags, and the heap, sized once for the
-  * graph so that a search allocates nothing.
+  * owners, settled and target flags, the heap and the boundary proposals,
+  * sized once for the graph so that a search allocates nothing.
   *
   * Each per-vertex slot is valid only while its stamp equals the current
   * search's epoch, so starting a search costs O(1), not O(|V|); the
@@ -280,8 +317,8 @@ final class CompactGraph(
   * not per heap entry.
   *
   * It also holds the tree kernels' per-summary scratch (numbered primitive
-  * buffers, a union–find, a proposal table and the summary edge set), so
-  * that a summary allocates only its result. A kernel owns all of the
+  * buffers, a union–find and the summary edge set), so that a summary
+  * allocates only its result. A kernel owns all of the
   * scratch for the length of its call; kernels do not nest on a thread, so
   * `SteinerTree` and `Pcst` share it. Like the per-vertex arrays, the
   * scratch lives as long as the thread: it grows geometrically to the
@@ -318,7 +355,9 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
   /** Union–find over a summary's terminals; `reset` it before use. */
   val terminalSets = new DisjointSet(0)
 
-  /** PCST's cheapest boundary proposal per region pair; `reset` it before use. */
+  /** The boundary proposals of the last multi-source [[CompactGraph.search]]:
+    * region pair → (cost, edge id) of its cheapest connecting edge.
+    */
   val proposals = new LongKeyTable(0)
 
   /** The Eq. (1) weight overlay of the summary being computed on this

@@ -10,7 +10,6 @@ package repro.graph
 final class DisjointSet(n: Int) {
   private var parent = new Array[Int](n)
   private var rank   = new Array[Byte](n)
-  private var nComp  = 0
   reset(n)
 
   /** Makes `[0, n)` singletons again, growing the arrays geometrically if
@@ -24,7 +23,6 @@ final class DisjointSet(n: Int) {
     } else java.util.Arrays.fill(rank, 0, n, 0.toByte)
     var i = 0
     while (i < n) { parent(i) = i; i += 1 }
-    nComp = n
   }
 
   /** Representative of `x`'s component (with path compression). */
@@ -44,14 +42,7 @@ final class DisjointSet(n: Int) {
       if (rank(ra) < rank(rb)) parent(ra) = rb
       else if (rank(ra) > rank(rb)) parent(rb) = ra
       else { parent(rb) = ra; rank(ra) = (rank(ra) + 1).toByte }
-      nComp -= 1
       true
     }
   }
-
-  /** True iff `a` and `b` are in the same component. */
-  def connected(a: Int, b: Int): Boolean = find(a) == find(b)
-
-  /** Number of components remaining. */
-  def components: Int = nComp
 }

@@ -7,13 +7,6 @@ object NodeType {
   val User: Byte     = 0
   val Item: Byte     = 1
   val External: Byte = 2
-
-  def name(t: Byte): String = t match {
-    case User     => "user"
-    case Item     => "item"
-    case External => "external"
-    case other    => throw new IllegalArgumentException(s"unknown node type $other")
-  }
 }
 
 /** Global node-id scheme: node type is encoded in the id range so that
@@ -35,5 +28,4 @@ object NodeIds {
 
   def isUser(id: Long): Boolean     = typeOf(id) == NodeType.User
   def isItem(id: Long): Boolean     = typeOf(id) == NodeType.Item
-  def isExternal(id: Long): Boolean = typeOf(id) == NodeType.External
 }

@@ -23,14 +23,14 @@ class MetricsSpec extends SparkSpec {
     assert(Metrics.comprehensibility(sub(Seq((u1, i1, 1.0), (i1, x1, 0.0)))) == 0.5)
     val baseline = sub(Seq((u1, i1, 1.0)), multiset = Seq((u1, i1), (u1, i1), (u1, i1)))
     assert(math.abs(Metrics.comprehensibility(baseline) - 1.0 / 3) < 1e-12)
-    assert(Metrics.comprehensibility(Subgraph.empty) == 1.0) // capped at 1
+    assert(Metrics.comprehensibility(SubgraphChecks.empty) == 1.0) // capped at 1
   }
 
   test("actionability counts item nodes over all nodes") {
     val s = sub(Seq((u1, i1, 1.0), (i1, x1, 0.0)))
     assert(math.abs(Metrics.actionability(s) - 1.0 / 3) < 1e-12)
     assert(Metrics.actionability(sub(Seq((i1, i2, 1.0)))) == 1.0)
-    assert(Metrics.actionability(Subgraph.empty) == 0.0)
+    assert(Metrics.actionability(SubgraphChecks.empty) == 0.0)
   }
 
   test("diversity of disjoint edges is 1, of identical edges is 0") {
@@ -69,7 +69,7 @@ class MetricsSpec extends SparkSpec {
     val s = sub(Seq((u1, i1, 1.0), (u2, i1, 1.0)))
     assert(math.abs(Metrics.privacy(s) - (1.0 - 2.0 / 3)) < 1e-12)
     assert(Metrics.privacy(sub(Seq((i1, x1, 0.0)))) == 1.0)
-    assert(Metrics.privacy(Subgraph.empty) == 1.0)
+    assert(Metrics.privacy(SubgraphChecks.empty) == 1.0)
   }
 
   test("consistency: identical subgraphs across k give 1, disjoint give 0") {

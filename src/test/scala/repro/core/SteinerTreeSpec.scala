@@ -4,6 +4,7 @@ import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropSupport
 import repro.graph.{CompactGraph, DisjointSet, EdgeCost, TestGraphs}
+import repro.graph.DisjointSetChecks._
 
 class SteinerTreeSpec extends AnyFunSuite with PropSupport {
 

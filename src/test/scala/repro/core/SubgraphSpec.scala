@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.SubgraphChecks._
 import repro.kg.NodeIds
 
 class SubgraphSpec extends AnyFunSuite {
@@ -41,8 +42,8 @@ class SubgraphSpec extends AnyFunSuite {
   }
 
   test("the empty subgraph is well-behaved") {
-    assert(Subgraph.empty.nodes.isEmpty)
-    assert(Subgraph.empty.componentCount == 0)
-    assert(Subgraph.empty.coveredTerminals.isEmpty)
+    assert(SubgraphChecks.empty.nodes.isEmpty)
+    assert(SubgraphChecks.empty.componentCount == 0)
+    assert(SubgraphChecks.empty.coveredTerminals.isEmpty)
   }
 }

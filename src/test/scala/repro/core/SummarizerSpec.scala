@@ -2,6 +2,7 @@ package repro.core
 
 import java.lang.management.ManagementFactory
 import repro.SparkSpec
+import repro.core.SubgraphChecks._
 import repro.eval.TableIExample
 import repro.kg.{KGBuilder, KgIndex, MLSynth, NodeType}
 import repro.rec.Pgpr

