@@ -35,10 +35,10 @@ object Metrics {
     var sum = 0.0
     var i = 0
     while (i < n) {
-      val (a1, b1) = es(i)
+      val a1 = es(i).src; val b1 = es(i).dst
       var j = i + 1
       while (j < n) {
-        val (a2, b2) = es(j)
+        val a2 = es(j).src; val b2 = es(j).dst
         val shared =
           (if (a1 == a2 || a1 == b2) 1 else 0) + (if (b1 == a2 || b1 == b2) 1 else 0)
         // Node sets have size 2 (self loops don't occur in the KG).

@@ -35,8 +35,7 @@ object Pcst {
   // This kernel's buffers in the calling thread's SearchSpace.
   private final val Costs = 0     // doubles
   private final val Remaining = 1
-  private final val Keys = 0      // longs
-  private final val Packed = 1
+  private final val Packed = 0    // longs
   private final val Bridges = 0   // ints
   private final val Perm = 1
   private final val SortBuf = 2
@@ -87,27 +86,20 @@ object Pcst {
     var budgetCap = 0.0
     i = 0
     while (i < n) { budgetCap += prize(i); i += 1 }
-    g.search(ws, terms, 0, n, g.fillCosts(ws, cost), budgetCap)
-    val proposals = ws.proposals
+    val arcCosts = g.fillCosts(ws, cost)
+    g.search(ws, terms, 0, n, arcCosts, budgetCap)
 
-    // Kruskal-ordered prize-aware merging, in (cost, key) order: the keys
-    // sorted ascending, then a stable index sort by cost. The sort also
-    // keeps the table's slot order out of the result.
-    val m = proposals.size
-    val keys = ws.longs(Keys, m)
-    var s = 0; var k = 0
-    while (s < proposals.capacity) {
-      if (proposals.isOccupied(s)) { keys(k) = proposals.keyAt(s); k += 1 }
+    // Kruskal-ordered prize-aware merging, in (cost, a, b) order: the proposal
+    // triangle's slots ascend with the region pair (a, b), and the sort is stable.
+    val pairs = (n.toLong * (n - 1) / 2).toInt // the search checked that it fits
+    val bound = math.min(pairs, g.numEdges) // one proposal per pair and per edge at most
+    val costs = ws.doubles(Costs, bound)
+    val bridges = ws.ints(Bridges, bound)
+    var m = 0; var s = 0
+    while (s < pairs) {
+      val a = ws.proposals(s)
+      if (a >= 0) { costs(m) = g.proposalCost(ws, a, arcCosts); bridges(m) = g.arcEdge(a); m += 1 }
       s += 1
-    }
-    java.util.Arrays.sort(keys, 0, m)
-    val costs = ws.doubles(Costs, m)
-    val bridges = ws.ints(Bridges, m)
-    k = 0
-    while (k < m) {
-      val slot = proposals.find(keys(k))
-      costs(k) = proposals.doubleAt(slot); bridges(k) = proposals.intAt(slot)
-      k += 1
     }
     val order = IndexSort.byKey(costs, m, ws.ints(Perm, m), ws.ints(SortBuf, m))
 
@@ -127,11 +119,11 @@ object Pcst {
       pathLen
     }
 
-    k = 0
+    var k = 0
     while (k < m) {
       val p = order(k)
       val c = costs(p); val be = bridges(p)
-      val a = (keys(p) >> 32).toInt; val b = keys(p).toInt
+      val a = ws.owner(g.edgeSrc(be)); val b = ws.owner(g.edgeDst(be)) // the two regions it joins
       val ra = ds.find(a); val rb = ds.find(b)
       if (ra != rb && c <= remaining(ra) + remaining(rb)) {
         val budget = remaining(ra) + remaining(rb) - c

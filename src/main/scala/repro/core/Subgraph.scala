@@ -14,9 +14,9 @@ final case class SummaryEdge(src: Long, dst: Long, wM: Double)
   *                             be connected)
   * @param edges                distinct edges of S
   * @param allEdges             the constituent edge *multiset*: for
-  *                             baseline path sets every path hop (so the
-  *                             explanation "length 13" of Table I counts
-  *                             duplicates); for ST/PCST the distinct edges
+  *                             baseline path sets every hop as its edge's
+  *                             one [[SummaryEdge]] (so Table I's "length
+  *                             13" counts duplicates); for ST/PCST `edges`
   * @param isolated             terminal nodes included in V_S without any
   *                             incident summary edge (ST keeps unreachable
   *                             terminals; PCST forfeits them)
@@ -26,7 +26,7 @@ final case class SummaryEdge(src: Long, dst: Long, wM: Double)
 final case class Subgraph(
     terminals: Array[Long],
     edges: Array[SummaryEdge],
-    allEdges: Array[(Long, Long)],
+    allEdges: Array[SummaryEdge],
     isolated: Array[Long],
     pathNodeOccurrences: Int,
 ) {

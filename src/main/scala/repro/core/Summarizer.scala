@@ -55,11 +55,11 @@ object Summarizer {
     * own state, and PCST's single Voronoi pass |V|·16 bytes; that formula
     * is unchanged. The kernels in fact reuse one search space per thread,
     * which holds the Θ(|V|) search state and the kernels' scratch: ST's
-    * Θ(|T|²) metric closure with its paths and PCST's Θ(|T|²) proposal
-    * table live there, grown to the largest summary the thread has run.
-    * So do the Θ(|E|) cost buffer (one double per arc), filled once per
-    * kernel call and read by all of its searches, and the Eq. (1) overlay
-    * table.
+    * Θ(|T|²) metric closure with its paths lives there, grown to the
+    * largest summary the thread has run. So do the Θ(|E|) cost buffer
+    * (one double per arc), filled once per kernel call and read by all of
+    * its searches, PCST's proposal triangle (one int per terminal pair,
+    * at least |E| of them) and the Eq. (1) overlay table.
     */
   final case class Result(scenarioId: String, family: String, method: String, k: Int,
                           subgraph: Subgraph, timeNs: Long, memModelBytes: Long)
@@ -116,19 +116,15 @@ object Summarizer {
       .toSeq
   }
 
-  /** Baseline "summary": the raw path union, duplicates retained. */
+  /** Baseline "summary": the raw path union, duplicates retained, each hop as its edge's one [[SummaryEdge]]. */
   private def pathsUnion(kg: KgIndex, scenario: Scenario): Subgraph = {
-    val all = scenario.paths.flatMap(_.hops).toArray
     val distinct = scala.collection.mutable.LinkedHashMap.empty[(Long, Long), SummaryEdge]
-    all.foreach { case (a, b) =>
-      val key = if (a <= b) (a, b) else (b, a)
-      if (!distinct.contains(key)) {
-        // Hallucinated PLM hops are not KG edges: they are part of the
-        // shown explanation but contribute no interaction weight.
-        val wM = kg.edgeBetween(a, b).map(kg.graph.edgeWeight).getOrElse(0.0)
-        distinct(key) = SummaryEdge(a, b, wM)
-      }
-    }
+    val all = scenario.paths.iterator.flatMap(_.hops).map { case (a, b) =>
+      // Hallucinated PLM hops are not KG edges: they are part of the
+      // shown explanation but contribute no interaction weight.
+      distinct.getOrElseUpdate(if (a <= b) (a, b) else (b, a),
+        SummaryEdge(a, b, kg.edgeBetween(a, b).map(kg.graph.edgeWeight).getOrElse(0.0)))
+    }.toArray
     Subgraph(
       terminals = scenario.terminals,
       edges = distinct.values.toArray,
@@ -178,7 +174,7 @@ object Summarizer {
     Subgraph(
       terminals = scenario.terminals,
       edges = edges,
-      allEdges = edges.map(e => (e.src, e.dst)),
+      allEdges = edges,
       isolated = isolated,
       pathNodeOccurrences = res.pathNodeOccurrences,
     )

@@ -99,15 +99,15 @@ final class CompactGraph(
     * `ws` afterwards: `dist`, `predArc` and `owner`, the index *into
     * `terms`* of the closest source.
     *
-    * A search with two or more sources also leaves in `ws.proposals` the
+    * A search with n ≥ 2 sources also leaves in `ws.proposals` the
     * boundary proposals of Algorithm 2, the cheapest connection between
-    * each pair of regions (Mehlhorn's construction): for every edge `e`
-    * whose endpoints settle with different owners `a < b`, key
-    * `(a << 32) | b` holds the least `dist(edgeSrc(e)) + cost(e) +
-    * dist(edgeDst(e))` and the lowest edge id among those of that cost.
-    * Each edge is offered once, when its later endpoint settles, so both
-    * distances are final; a search that stops early offers only the edges
-    * it scanned. A single-source search leaves the proposals alone.
+    * each pair of regions (Mehlhorn's construction): for regions a < b,
+    * slot [[SearchSpace.pairSlot]]`(n, a, b)` holds an arc of the edge of
+    * least [[proposalCost]], then lowest id, among the edges whose ends
+    * settle with owners a and b (−1 if none). Each edge is offered once,
+    * when its later endpoint settles, so both distances are final; a search
+    * that stops early offers only the edges it scanned. A single-source
+    * search leaves the proposals alone.
     *
     * The sources and the settle-set are ranges of one array, so a kernel
     * passes slices of its terminal array without copying them.
@@ -128,11 +128,8 @@ final class CompactGraph(
   def search(ws: SearchSpace, terms: Array[Int], from: Int, until: Int, cost: Array[Double],
              maxDist: Double): Unit = {
     val perArc = if (cost.length == 1) 0 else -1 // index mask: a lone cost is every arc's
-    val proposing = until - from >= 2
-    if (proposing) { // at most one proposal per region pair and per edge: the table never rehashes
-      val n = (until - from).toLong
-      ws.proposals.reset(math.min(n * (n - 1) / 2, numEdges.toLong).toInt)
-    }
+    val regions = until - from
+    val pairArcs = if (regions >= 2) ws.resetProposals(regions, numEdges) else null
     ws.begin()
     var s = from
     while (s < until) {
@@ -168,9 +165,9 @@ final class CompactGraph(
             if (!ws.settled(v)) {
               val nd = du + cost(a & perArc)
               if (nd < ws.dist(v) && nd <= maxDist) ws.relax(v, nd, a, ou)
-            } else if (proposing) {
+            } else if (pairArcs != null) {
               val ov = ws.owner(v)
-              if (ov != ou) propose(ws, a, v, du, cost(a & perArc), ou, ov)
+              if (ov != ou) propose(ws, pairArcs, SearchSpace.pairSlot(regions, ou min ov, ou max ov), a, v, du, cost)
             }
             a += 1
           }
@@ -179,24 +176,27 @@ final class CompactGraph(
     }
   }
 
-  // Offers the edge of arc a, from u at distance du to v, as the connection
-  // of regions ou and ov: the lower cost wins, then the lower edge id. The
-  // sum runs in the edge's own direction, so it does not depend on which
-  // endpoint settled last. Its two orders agree whenever it is exact (a
-  // uniform cost of 0.25 and its multiples); only when they differ is the
-  // edge's source read, which lies far from the arc in memory.
-  private def propose(ws: SearchSpace, a: Int, v: Int, du: Double, c: Double, ou: Int, ov: Int): Unit = {
+  /** The cost of the connection through arc `a`'s edge `e` after a [[search]] on `cost`,
+    * `dist(edgeSrc(e)) + cost(e) + dist(edgeDst(e))`: in the edge's own direction.
+    */
+  def proposalCost(ws: SearchSpace, a: Int, cost: Array[Double]): Double = {
     val e = arcEdge(a)
-    val dv = ws.dist(v)
-    val fromU = du + c + dv
-    val fromV = dv + c + du
-    val total = if (fromU == fromV || edgeSrc(e) != v) fromU else fromV
-    val key = if (ou < ov) (ou.toLong << 32) | ov else (ov.toLong << 32) | ou
-    val p = ws.proposals
-    val cur = p.find(key)
-    if (cur < 0 || total < p.doubleAt(cur) || (total == p.doubleAt(cur) && e < p.intAt(cur)))
-      p.put(key, total, e)
+    ws.dist(edgeSrc(e)) + cost(if (cost.length == 1) 0 else a) + ws.dist(edgeDst(e))
   }
+
+  // Keeps in `slot` the arc of the cheaper connection. Arc a runs from u, at du, to v; the two
+  // orders of its proposalCost agree whenever the sum is exact (a uniform 0.25 and its
+  // multiples), and only when they differ is its edge's far-off source read.
+  private def propose(ws: SearchSpace, arcs: Array[Int], slot: Int, a: Int, v: Int, du: Double,
+                      cost: Array[Double]): Unit =
+    if (arcs(slot) < 0) arcs(slot) = a
+    else {
+      val dv = ws.dist(v); val c = cost(if (cost.length == 1) 0 else a)
+      val fromU = du + c + dv; val fromV = dv + c + du
+      val total = if (fromU == fromV || edgeSrc(arcEdge(a)) != v) fromU else fromV
+      val best = proposalCost(ws, arcs(slot), cost)
+      if (total < best || (total == best && arcEdge(a) < arcEdge(arcs(slot)))) arcs(slot) = a
+    }
 
   /** The costs for the [[search]]es of one kernel call, in `ws`: the
     * oracle runs 2|E| times per call instead of once per arc relaxation.
@@ -324,12 +324,12 @@ final class CompactGraph(
   * scratch lives as long as the thread: it grows geometrically to the
   * largest summary the thread has run and is never shrunk.
   *
-  * Two more per-thread pieces are sized by the graph's edges, not by a
+  * Three more per-thread pieces are sized by the graph's edges, not by a
   * summary: the cost buffer that [[CompactGraph.fillCosts]] writes once
   * per kernel call with a non-uniform cost and every [[CompactGraph.search]]
   * of the call reads (2|E| doubles in arc order, allocated on first use),
-  * and the Eq. (1) overlay table, which the summarizer fills before a
-  * kernel runs and no kernel touches.
+  * the proposal triangle (≥ |E| ints) and the Eq. (1) overlay table, which
+  * the summarizer fills before a kernel runs and no kernel touches.
   */
 final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
   private var epoch      = startEpoch
@@ -351,14 +351,23 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
   private var edgeList   = new Array[Int](16)
   private var edgeCount  = 0
   private var costBuf    = new Array[Double](0)
+  private var pairArcs   = new Array[Int](0)
 
   /** Union–find over a summary's terminals; `reset` it before use. */
   val terminalSets = new DisjointSet(0)
 
-  /** The boundary proposals of the last multi-source [[CompactGraph.search]]:
-    * region pair → (cost, edge id) of its cheapest connecting edge.
-    */
-  val proposals = new LongKeyTable(0)
+  /** The boundary proposals of the last multi-source [[CompactGraph.search]]. */
+  def proposals: Array[Int] = pairArcs
+
+  // The triangle with its first n(n−1)/2 slots at −1. Its first allocation
+  // holds ≥ |E| slots, so only an n with n(n−1)/2 > |E| grows it.
+  private[graph] def resetProposals(n: Int, numEdges: Int): Array[Int] = {
+    val pairs = Math.toIntExact(n.toLong * (n - 1) / 2)
+    if (pairArcs.length < pairs)
+      pairArcs = new Array[Int](math.max(SearchSpace.grownSize(pairArcs.length, pairs), numEdges))
+    java.util.Arrays.fill(pairArcs, 0, pairs, -1)
+    pairArcs
+  }
 
   /** The Eq. (1) weight overlay of the summary being computed on this
     * thread; no kernel touches it.
@@ -523,7 +532,10 @@ object SearchSpace {
   /** Numbers of scratch buffers of each type. */
   final val IntBuffers = 6
   final val DoubleBuffers = 2
-  final val LongBuffers = 2
+  final val LongBuffers = 1
+
+  /** Slot of region pair a < b of n in the row-major upper triangle: ascends with (a, b). */
+  private[graph] def pairSlot(n: Int, a: Int, b: Int): Int = (a.toLong * (2 * n - a - 1) / 2).toInt + (b - a - 1)
 
   /** Geometric growth: at least `need`, and at least twice `have`. */
   private[graph] def grownSize(have: Int, need: Int): Int =

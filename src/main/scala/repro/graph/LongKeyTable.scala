@@ -2,10 +2,9 @@ package repro.graph
 
 /** Open-addressing hash table from `long` keys to a (`double`, `int`) value
   * pair, on parallel primitive arrays with linear probing, so a lookup or an
-  * update boxes nothing. It holds the per-summary sparse maps that live in
-  * each thread's `SearchSpace`: the Eq. (1) weight overlay (edge id →
-  * weight, path count) and PCST's cheapest boundary proposal per region
-  * pair (pair key → cost, edge id).
+  * update boxes nothing. It holds the Eq. (1) weight overlay (edge id →
+  * weight, path count), the per-summary sparse map that lives in each
+  * thread's `SearchSpace`.
   *
   * [[reset]] empties the table for reuse. The table then uses only the
   * first `capacity` slots of its arrays, sized for the new expected count,
@@ -92,7 +91,7 @@ object LongKeyTable {
   private def capacityFor(expected: Int): Int =
     math.max(16, Integer.highestOneBit(math.max(1, expected) * 2 - 1) * 2)
 
-  // Fibonacci hashing: edge ids and region-pair keys are dense in their low bits.
+  // Fibonacci hashing: edge ids are dense in their low bits.
   private def mix(key: Long): Int = {
     val h = key * 0x9E3779B97F4A7C15L
     (h ^ (h >>> 32)).toInt

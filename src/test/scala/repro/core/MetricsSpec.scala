@@ -1,6 +1,7 @@
 package repro.core
 
-import repro.kg.NodeIds
+import repro.eval.TableIExample
+import repro.kg.{KgIndex, NodeIds}
 import repro.{Oracle, SparkSpec}
 
 class MetricsSpec extends SparkSpec {
@@ -13,7 +14,9 @@ class MetricsSpec extends SparkSpec {
                   occurrences: Int = 0, isolated: Seq[Long] = Nil,
                   multiset: Seq[(Long, Long)] = Nil): Subgraph = {
     val es = edges.map { case (a, b, w) => SummaryEdge(a, b, w) }.toArray
-    val all = if (multiset.nonEmpty) multiset.toArray else es.map(e => (e.src, e.dst))
+    // Every hop of the multiset is the edge it walks, as `Paths` presents it.
+    def edgeOf(a: Long, b: Long) = es.find(e => Set(e.src, e.dst) == Set(a, b)).get
+    val all = if (multiset.nonEmpty) multiset.map { case (a, b) => edgeOf(a, b) }.toArray else es
     val occ = if (occurrences > 0) occurrences
               else (es.flatMap(e => Seq(e.src, e.dst)) ++ isolated).distinct.length
     Subgraph(Array.empty, es, all, isolated.toArray, occ)
@@ -42,6 +45,18 @@ class MetricsSpec extends SparkSpec {
   test("diversity of edges sharing one endpoint is 1 - 1/3") {
     val s = sub(Seq((u1, i1, 1.0), (i1, x1, 0.0)))
     assert(math.abs(Metrics.diversity(s) - 2.0 / 3) < 1e-12)
+  }
+
+  test("diversity of a Paths union equals the diversity of its hops in path order and direction") {
+    import TableIExample._
+    // The doubled Table I paths, and User2's path back over User1's first two hops.
+    val back = repro.rec.ExplanationPath(User2, UlyssesGaze, 1, Vector(User2, LandscapeInTheMist, User1, UlyssesGaze))
+    val group = UserGroup("table-i", Seq(User1, User2), paths ++ paths.map(x => x.copy(rank = x.rank + 3)) :+ back)
+    val s = Summarizer.summarize(KgIndex.fromKGraph(knowledgeGraph(spark)), group, Summarizer.Paths).subgraph
+    val hops = group.paths.flatMap(_.hops).toArray
+    assert(hops.exists { case (a, b) => s.edges.exists(e => e.src == b && e.dst == a) },
+      "some hop walks its edge against the edge's direction")
+    assert(Metrics.diversity(s) == MetricsSpec.diversityOfHops(hops))
   }
 
   test("diversity averages over all pairs and needs >= 2 edges") {
@@ -115,5 +130,36 @@ class MetricsSpec extends SparkSpec {
         |       ROUND(AVG(CAST(diversity AS DOUBLE)), 6) AS d
         |FROM rows GROUP BY method""".stripMargin,
       "rows" -> rows)
+  }
+}
+
+object MetricsSpec {
+
+  /** `Metrics.diversity` as it read a multiset of (src, dst) hops before the
+    * multiset became `SummaryEdge`s: the reference for the paths union.
+    */
+  def diversityOfHops(es: Array[(Long, Long)]): Double = {
+    val n = es.length
+    if (n < 2) return 0.0
+    var sum = 0.0
+    var i = 0
+    while (i < n) {
+      val (a1, b1) = es(i)
+      var j = i + 1
+      while (j < n) {
+        val (a2, b2) = es(j)
+        val shared =
+          (if (a1 == a2 || a1 == b2) 1 else 0) + (if (b1 == a2 || b1 == b2) 1 else 0)
+        val jac = shared match {
+          case 0 => 0.0
+          case 1 => 1.0 / 3.0
+          case _ => 1.0
+        }
+        sum += 1.0 - jac
+        j += 1
+      }
+      i += 1
+    }
+    sum / (n.toLong * (n - 1) / 2).toDouble
   }
 }

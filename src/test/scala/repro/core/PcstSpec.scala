@@ -80,6 +80,15 @@ class PcstSpec extends AnyFunSuite with PropSupport {
     }
   }
 
+  test("equal-cost proposals merge in (cost, a, b) order of their regions") {
+    // Terminals 0..3 with prize 1, each edge a 1.5 connection: (0, 1) leaves
+    // 0.5, which with p(3) pays (0, 3) before (1, 2); in (cost, b, a) order
+    // (1, 2) would come first and (0, 3) be forfeited.
+    val g = CompactGraph.fromTriples(Seq((0L, 1L, 1.0), (0L, 3L, 1.0), (1L, 2L, 1.0)))
+    val r = Pcst.summarize(g, EdgeCost.uniform(1.5), Array(0, 1, 2, 3), Array.fill(4)(1.0))
+    assert(r.edgeIds.toSeq == Seq(0, 1))
+  }
+
   test("deterministic across runs") {
     val g = CompactGraph.fromTriples(Seq(
       (0L, 1L, 1.0), (1L, 2L, 1.0), (2L, 3L, 1.0), (0L, 3L, 1.0), (1L, 3L, 1.0)))

@@ -10,11 +10,10 @@ class SubgraphSpec extends AnyFunSuite {
   private val i1 = NodeIds.item(1); private val i2 = NodeIds.item(2)
   private val x  = NodeIds.external(1)
 
-  private def sg(edges: Seq[(Long, Long)], isolated: Seq[Long] = Nil): Subgraph =
-    Subgraph(Array.empty,
-      edges.map { case (a, b) => SummaryEdge(a, b, 1.0) }.toArray,
-      edges.toArray, isolated.toArray,
-      edges.flatMap { case (a, b) => Seq(a, b) }.distinct.size)
+  private def sg(edges: Seq[(Long, Long)], isolated: Seq[Long] = Nil): Subgraph = {
+    val es = edges.map { case (a, b) => SummaryEdge(a, b, 1.0) }.toArray
+    Subgraph(Array.empty, es, es, isolated.toArray, edges.flatMap { case (a, b) => Seq(a, b) }.distinct.size)
+  }
 
   test("nodes are the distinct endpoints plus isolated terminals") {
     val s = sg(Seq((u1, i1), (i1, x)), isolated = Seq(i2))
@@ -29,14 +28,14 @@ class SubgraphSpec extends AnyFunSuite {
   }
 
   test("coveredTerminals reports which terminals made it into V_S") {
-    val s = Subgraph(Array(u1, i1, i2), Array(SummaryEdge(u1, i1, 1.0)),
-      Array((u1, i1)), Array.empty, 2)
+    val e = SummaryEdge(u1, i1, 1.0)
+    val s = Subgraph(Array(u1, i1, i2), Array(e), Array(e), Array.empty, 2)
     assert(s.coveredTerminals.toSet == Set(u1, i1))
   }
 
   test("edgeOccurrences counts the constituent multiset") {
-    val s = Subgraph(Array.empty, Array(SummaryEdge(u1, i1, 1.0)),
-      Array((u1, i1), (u1, i1), (u1, i1)), Array.empty, 6)
+    val e = SummaryEdge(u1, i1, 1.0)
+    val s = Subgraph(Array.empty, Array(e), Array(e, e, e), Array.empty, 6)
     assert(s.edgeOccurrences == 3)
     assert(s.edges.length == 1)
   }

@@ -21,6 +21,7 @@ class SummarizerSpec extends SparkSpec {
     assert(s.isolated.isEmpty, "all terminals reachable in the example KG")
     assert(s.coveredTerminals.toSet == scenario.terminals.toSet)
     assert(s.componentCount == 1)
+    assert(s.allEdges eq s.edges) // the distinct edges are the multiset
   }
 
   test("ST summary is far smaller than the union of paths (Table I shape)") {
@@ -53,6 +54,7 @@ class SummarizerSpec extends SparkSpec {
     val r = Summarizer.summarize(exampleIdx, scenario, Summarizer.PCST()).subgraph
     assert(r.edges.nonEmpty)
     assert(r.coveredTerminals.length >= 2)
+    assert(r.allEdges eq r.edges)
   }
 
   test("results carry timing and the memory model (ST grows with |T|, PCST does not)") {

@@ -211,16 +211,41 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
         val perEdge = Array.fill(g.numEdges)(if (integral) rnd.nextInt(4).toDouble else 0.5 + rnd.nextDouble())
         val cost: EdgeCost =
           if (rnd.nextInt(4) == 0) EdgeCost.uniform(if (integral) 1.0 else 0.1) else (e: Int) => perEdge(e)
-        val sources = rnd.shuffle((0 until g.numVertices).toList).take(2 + rnd.nextInt(3)).toArray
+        // From 2 sources up to all vertices: n(n−1)/2 pairs both within |E| and beyond it.
+        val sources = rnd.shuffle((0 until g.numVertices).toList).take(2 + rnd.nextInt(g.numVertices - 1)).toArray
+        val n = sources.length
         val maxDist = if (rnd.nextBoolean()) Double.PositiveInfinity else 6 * rnd.nextDouble()
         val ws = new SearchSpace(g.numVertices)
-        g.search(ws, sources, 0, sources.length, g.fillCosts(ws, cost), maxDist)
-        val recorded = TestGraphs.proposalsOf(ws)
+        val arcCosts = g.fillCosts(ws, cost)
+        g.search(ws, sources, 0, n, arcCosts, maxDist)
+        val recorded = TestGraphs.proposalsOf(g, ws, n, arcCosts)
         val reference = TestGraphs.scanProposals(g, ws, cost)
         // A single-source search leaves them alone.
-        g.search(ws, sources, 0, 1, g.fillCosts(ws, cost), maxDist)
-        recorded == reference && TestGraphs.proposalsOf(ws) == recorded
+        val triangle = ws.proposals.take(n * (n - 1) / 2)
+        g.search(ws, sources, 0, 1, arcCosts, maxDist)
+        // The first multi-source search sizes the triangle for every n with
+        // n(n−1)/2 ≤ |E|: the largest such n reuses it.
+        val fresh = new SearchSpace(g.numVertices)
+        g.search(fresh, sources, 0, 2, arcCosts, maxDist)
+        val first = fresh.proposals
+        val largest = (2 to g.numVertices).takeWhile(k => k * (k - 1) / 2 <= g.numEdges).last
+        g.search(fresh, (0 until g.numVertices).toArray, 0, largest, arcCosts, maxDist)
+        recorded == reference && ws.proposals.take(n * (n - 1) / 2).sameElements(triangle) &&
+          (fresh.proposals eq first)
     }, minTests = 200)
+  }
+
+  test("a boundary edge's cost is summed in its own direction, not in settle order") {
+    // Regions of sources 0 and 1. Edge 0 runs from x = 2 (settled at 0.1) to
+    // y = 3 (settled at 0.3): (0.1 + 0.2) + 0.3 exceeds 0.6 by an ulp, while
+    // the settle-order sum (0.3 + 0.2) + 0.1 would tie edge 3's 0.6 and win
+    // on its lower id.
+    val g = CompactGraph.fromTriples(Seq((2L, 3L, 0.2), (0L, 2L, 0.1), (1L, 3L, 0.3), (0L, 1L, 0.6)))
+    val ws = new SearchSpace(g.numVertices)
+    val costs = g.fillCosts(ws, byWeight(g))
+    g.search(ws, Array(0, 1), 0, 2, costs, Double.PositiveInfinity)
+    assert(TestGraphs.proposalsOf(g, ws, 2, costs) == Map(1L -> ((0.6, 3))))
+    assert(TestGraphs.scanProposals(g, ws, byWeight(g)) == Map(1L -> ((0.6, 3))))
   }
 
   /** Runs `searches` back to back in `ws` and checks each against the same
@@ -231,6 +256,7 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
   private def matchesFresh(g: CompactGraph, ws: SearchSpace, rnd: scala.util.Random,
                            searches: Int): Boolean = {
     val cost = byWeight(g)
+    def proposals(space: SearchSpace, n: Int) = TestGraphs.proposalsOf(g, space, n, g.fillCosts(space, cost))
     (1 to searches).forall { _ =>
       val sources = rnd.shuffle((0 until g.numVertices).toList).take(1 + rnd.nextInt(3)).toArray
       val targets = rnd.nextInt(3) match {
@@ -245,7 +271,7 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
       (0 until g.numVertices).forall { v =>
         ws.dist(v) == fresh.dist(v) && ws.predArc(v) == fresh.predArc(v) &&
           ws.owner(v) == fresh.owner(v) && ws.settled(v) == fresh.settled(v)
-      } && (sources.length < 2 || TestGraphs.proposalsOf(ws) == TestGraphs.proposalsOf(fresh))
+      } && (sources.length < 2 || proposals(ws, sources.length) == proposals(fresh, sources.length))
     }
   }
 

@@ -9,7 +9,7 @@ class LongKeyTableSpec extends AnyFunSuite with PropSupport {
   private def contents(t: LongKeyTable): Map[Long, (Double, Int)] =
     (0 until t.capacity).filter(t.isOccupied).map(s => t.keyAt(s) -> (t.doubleAt(s), t.intAt(s))).toMap
 
-  // Keys dense in their low bits, as edge ids and region-pair keys are.
+  // Keys dense in their low bits, as edge ids are.
   private val entries: Gen[Map[Long, (Double, Int)]] =
     Gen.mapOf(Gen.zip(Gen.choose(0L, 300L), Gen.zip(Gen.choose(-5.0, 5.0), Gen.choose(0, 99))))
 

@@ -45,11 +45,12 @@ object TestGraphs {
     best.toMap
   }
 
-  /** The proposals a search left in `ws`, key → (cost, edge id). */
-  def proposalsOf(ws: SearchSpace): Map[Long, (Double, Int)] = {
-    val t = ws.proposals
-    (0 until t.capacity).filter(t.isOccupied).map(s => t.keyAt(s) -> ((t.doubleAt(s), t.intAt(s)))).toMap
-  }
+  /** The proposals a search from `n` sources with arc costs `cost` left in
+    * `ws`, read from its triangle as key `(a << 32) | b` → (cost, edge id).
+    */
+  def proposalsOf(g: CompactGraph, ws: SearchSpace, n: Int, cost: Array[Double]): Map[Long, (Double, Int)] =
+    (for (a <- 0 until n; b <- a + 1 until n; arc = ws.proposals(SearchSpace.pairSlot(n, a, b)) if arc >= 0)
+      yield ((a.toLong << 32) | b) -> ((g.proposalCost(ws, arc, cost), g.arcEdge(arc)))).toMap
 
   /** Exact Steiner tree cost via the Dreyfus–Wagner DP (test-only; for
     * tiny graphs). Returns the optimal cost of a tree spanning

@@ -15,8 +15,8 @@ the relative change of the medians, in how many pairs the change was
 better and a verdict (see `verdict`), for the gated metrics of
 BENCHMARK.json, with their `bound` and `better`, plus `st_ms_p50` and
 `pcst_ms_p50`, which have no bound. Exits 1 if any run is not `correct` or
-fails, or if any verdict is `worse`, and leaves perfbench/ and
-BENCHMARK.json alone.
+fails, or if any verdict is `worse` or `unresolved` (see `refusals`), and
+leaves perfbench/ and BENCHMARK.json alone.
 """
 import argparse
 import json
@@ -114,6 +114,27 @@ def verdict(parent, change, bound=None, better="lower"):
     return "same"
 
 
+def refusals(verdicts):
+    """The (workload, metric) pairs whose verdict fails the comparison, by verdict.
+
+    `verdicts` maps "workload metric" to its verdict. A `worse` metric got
+    worse beyond its bound; an `unresolved` one cannot be told from the
+    parent's spread, so the bound cannot be checked either.
+
+    >>> refusals({"uc-ksweep setup_s": "same", "user-group pcst_alloc_mb": "unresolved",
+    ...           "user-group st_alloc_mb": "worse", "uc-ksweep pcst_ms_p50": "gain"})
+    {'worse': ['user-group st_alloc_mb'], 'unresolved': ['user-group pcst_alloc_mb']}
+    >>> refusals({"uc-ksweep setup_s": "same", "user-group st_alloc_mb": "gain"})
+    {}
+    """
+    out = {}
+    for v in ("worse", "unresolved"):
+        names = [name for name, got in verdicts.items() if got == v]
+        if names:
+            out[v] = names
+    return out
+
+
 def run(checkout, workload, seed, seconds):
     """One benchmark run in `checkout`: (correct, {metric: value})."""
     proc = subprocess.run(
@@ -182,7 +203,7 @@ def main():
     print()
     print(f"{'workload':<11} {'metric':<14} {'parent median [q1, q3]':<40} "
           f"{'change median [q1, q3]':<40} {'change':>7}  better  verdict")
-    worse = []
+    verdicts = {}
     for w in workloads:
         for m in names:
             if not pairs[w]:
@@ -196,13 +217,15 @@ def main():
             rel = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
             print(f"{w:<11} {m:<14} {f'{pm:.6g} [{pq1:.6g}, {pq3:.6g}]':<40} "
                   f"{f'{cm:.6g} [{cq1:.6g}, {cq3:.6g}]':<40} {rel:>7}  {f'{n_better}/{pairs[w]}':<6}  {v}")
-            if v == "worse":
-                worse.append(f"{w} {m}")
+            verdicts[f"{w} {m}"] = v
+    refused = refusals(verdicts)
     if bad:
         print("runs not correct or incomplete: " + "; ".join(bad))
-    if worse:
-        print("worse than the parent beyond the bound: " + "; ".join(worse))
-    if bad or worse:
+    if "worse" in refused:
+        print("worse than the parent beyond the bound: " + "; ".join(refused["worse"]))
+    if "unresolved" in refused:
+        print("unresolved, the parent's spread is above the bound: " + "; ".join(refused["unresolved"]))
+    if bad or refused:
         sys.exit(1)
 
 
