@@ -67,25 +67,26 @@ object Pcst {
     i = 0
     while (i < len) { if (firstOf(i)) distinct += 1; i += 1 }
     val terms = new Array[Int](distinct)
-    val prize = new Array[Double](distinct)
+    // p(t) per distinct terminal, then each region's unspent budget while merging.
+    val remaining = ws.doubles(Remaining, distinct)
     var t = -1
     i = 0
     while (i < len) {
       val p = prizes(packed(i).toInt)
       // A NaN prize would make the growth radius NaN and the search reach nothing.
       if (!(p >= 0)) throw new IllegalArgumentException(s"prize at position ${packed(i).toInt} is $p")
-      if (firstOf(i)) { t += 1; terms(t) = vertexAt(i); prize(t) = p }
-      else if (prize(t) < p) prize(t) = p
+      if (firstOf(i)) { t += 1; terms(t) = vertexAt(i); remaining(t) = p }
+      else if (remaining(t) < p) remaining(t) = p
       i += 1
     }
-    if (terms.length <= 1) return TreeResult(Array.empty, terms.length)
+    if (terms.length <= 1) return TreeResult(Array.emptyIntArray, terms.length)
 
     // A connection dearer than the total prize pool can never be accepted,
     // so the growth radius is capped at the pool (prunes huge graphs).
     val n = terms.length
     var budgetCap = 0.0
     i = 0
-    while (i < n) { budgetCap += prize(i); i += 1 }
+    while (i < n) { budgetCap += remaining(i); i += 1 }
     val arcCosts = g.fillCosts(ws, cost)
     g.search(ws, terms, 0, n, arcCosts, budgetCap)
 
@@ -105,8 +106,6 @@ object Pcst {
 
     val ds = ws.terminalSets
     ds.reset(n)
-    val remaining = ws.doubles(Remaining, n)
-    System.arraycopy(prize, 0, remaining, 0, n)
     ws.clearEdges(g.numEdges)
     var occurrences = 0
 

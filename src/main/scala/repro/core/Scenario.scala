@@ -8,7 +8,7 @@ import repro.rec.ExplanationPath
   * frequency term.
   */
 sealed trait Scenario extends Serializable {
-  /** Stable identifier for harness grouping, e.g. "user:94". */
+  /** Stable identifier for harness grouping, e.g. "user:94"; built once per scenario. */
   def id: String
   /** Scenario family name as used in the paper's figures. */
   def family: String
@@ -23,7 +23,7 @@ sealed trait Scenario extends Serializable {
 /** Why does user `user` receive these item recommendations? T = {u} ∪ R_u. */
 final case class UserCentric(user: Long, paths: Seq[ExplanationPath]) extends Scenario {
   private val items = paths.map(_.item).distinct
-  override def id: String = s"user:$user"
+  override val id: String = s"user:$user"
   override def family: String = "user-centric"
   override val terminals: Array[Long] = (user +: items).toArray
   override def anchors: Int = items.size
@@ -32,7 +32,7 @@ final case class UserCentric(user: Long, paths: Seq[ExplanationPath]) extends Sc
 /** Why is item `item` recommended to these users? T = {i} ∪ C_i. */
 final case class ItemCentric(item: Long, paths: Seq[ExplanationPath]) extends Scenario {
   private val users = paths.map(_.user).distinct
-  override def id: String = s"item:$item"
+  override val id: String = s"item:$item"
   override def family: String = "item-centric"
   override val terminals: Array[Long] = (item +: users).toArray
   override def anchors: Int = users.size
@@ -42,7 +42,7 @@ final case class ItemCentric(item: Long, paths: Seq[ExplanationPath]) extends Sc
 final case class UserGroup(groupId: String, users: Seq[Long], paths: Seq[ExplanationPath])
     extends Scenario {
   private val items = paths.map(_.item).distinct
-  override def id: String = s"ugroup:$groupId"
+  override val id: String = s"ugroup:$groupId"
   override def family: String = "user-group"
   override val terminals: Array[Long] = (users ++ items).distinct.toArray
   override def anchors: Int = items.size
@@ -52,7 +52,7 @@ final case class UserGroup(groupId: String, users: Seq[Long], paths: Seq[Explana
 final case class ItemGroup(groupId: String, items: Seq[Long], paths: Seq[ExplanationPath])
     extends Scenario {
   private val users = paths.map(_.user).distinct
-  override def id: String = s"igroup:$groupId"
+  override val id: String = s"igroup:$groupId"
   override def family: String = "item-group"
   override val terminals: Array[Long] = (items ++ users).distinct.toArray
   override def anchors: Int = users.size

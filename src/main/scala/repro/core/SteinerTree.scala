@@ -41,9 +41,19 @@ object SteinerTree {
   private final val Perm = 4
   private final val SortBuf = 5
 
-  def summarize(g: CompactGraph, cost: EdgeCost, terminals: Array[Int]): TreeResult = {
-    val terms = IndexSort.distinct(terminals, terminals.length)
-    if (terms.length <= 1) return TreeResult(Array.empty, terms.length)
+  /** The kernel on the cost oracle `cost`, read once per arc into the thread's cost buffer. */
+  def summarize(g: CompactGraph, cost: EdgeCost, terminals: Array[Int]): TreeResult =
+    summarize(g, g.fillCosts(g.workspace, cost), terminals)
+
+  /** The kernel on arc costs `arcCosts`, as a fill of the calling thread's
+    * workspace returns them ([[CompactGraph.fillCosts]],
+    * [[CompactGraph.fillOverlaidCosts]]). Repeated terminals count once, at
+    * their first occurrence.
+    */
+  def summarize(g: CompactGraph, arcCosts: Array[Double], terminals: Array[Int]): TreeResult = {
+    val ws = g.workspace
+    val terms = ws.distinctVertices(terminals, terminals.length)
+    if (terms.length <= 1) return TreeResult(Array.emptyIntArray, terms.length)
 
     // Step 1-2: metric closure. One SSSP per terminal in the calling
     // thread's search space, early-stopped once the later terminals are
@@ -57,8 +67,6 @@ object SteinerTree {
     // costs no object per pair and, once the buffers have grown, no
     // allocation.
     val n = terms.length
-    val ws = g.workspace
-    val arcCosts = g.fillCosts(ws, cost) // read by all n − 1 searches
     val bound = Math.toIntExact(n.toLong * (n - 1) / 2)
     val pairDist = ws.doubles(PairDist, bound)
     val pairI = ws.ints(PairI, bound)

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
-import repro.graph.{CompactGraph, EdgeCost, IndexSort}
+import repro.graph.{CompactGraph, EdgeCost}
 import repro.kg.KgIndex
 
 /** Orchestrates summary computation: scenario → terminal resolution →
@@ -28,7 +28,7 @@ object Summarizer {
     */
   final case class ST(lambda: Double) extends Method {
     require(java.lang.Double.isFinite(lambda), s"ST.lambda must be finite, got $lambda")
-    override def label: String = s"st(λ=$lambda)"
+    override val label: String = s"st(λ=$lambda)"
   }
 
   /** Algorithm 2 in the paper's experimental configuration: edge weights
@@ -40,6 +40,7 @@ object Summarizer {
     require(java.lang.Double.isFinite(edgeCost), s"PCST.edgeCost must be finite, got $edgeCost")
     require(edgeCost > 0, s"PCST.edgeCost must be > 0, got $edgeCost")
     override def label: String = "pcst"
+    private[core] val cost: EdgeCost = EdgeCost.uniform(edgeCost)
   }
 
   /** No summarization: the union of the individual explanation paths —
@@ -54,12 +55,17 @@ object Summarizer {
     * It charges ST |T|·|V|·12 bytes, as if each of its |T| SSSPs kept its
     * own state, and PCST's single Voronoi pass |V|·16 bytes; that formula
     * is unchanged. The kernels in fact reuse one search space per thread,
-    * which holds the Θ(|V|) search state and the kernels' scratch: ST's
-    * Θ(|T|²) metric closure with its paths lives there, grown to the
-    * largest summary the thread has run. So do the Θ(|E|) cost buffer
-    * (one double per arc), filled once per kernel call and read by all of
-    * its searches, PCST's proposal triangle (one int per terminal pair,
-    * at least |E| of them) and the Eq. (1) overlay table.
+    * which holds the Θ(|V|) search state and vertex marks and the kernels'
+    * scratch: ST's Θ(|T|²) metric closure with its paths lives there,
+    * grown to the largest summary the thread has run. So do the Θ(|E|)
+    * cost buffer (one double per arc), PCST's proposal triangle (one int
+    * per terminal pair, at least |E| of them) and the Eq. (1) overlay
+    * table. ST fills the cost buffer once per summary, by a gather of the
+    * base costs and a patch of the overlay edges' arcs
+    * ([[CompactGraph.fillOverlaidCosts]]), and all of its searches read it.
+    * So a warm summary allocates this result, its subgraph's arrays and
+    * edges, and little more: the terminal index array, and for PCST its
+    * prizes and sorted terminals.
     */
   final case class Result(scenarioId: String, family: String, method: String, k: Int,
                           subgraph: Subgraph, timeNs: Long, memModelBytes: Long)
@@ -70,14 +76,17 @@ object Summarizer {
   def summarize(kg: KgIndex, scenario: Scenario, method: Method, k: Int = 0): Result = {
     val g = kg.graph
     val t0 = System.nanoTime()
-    val (sub, mem) = method match {
+    var mem = 0L
+    val sub = method match {
       case Paths =>
-        (pathsUnion(kg, scenario), scenario.paths.iterator.map(_.nodes.length * 8L).sum)
+        mem = scenario.paths.iterator.map(_.nodes.length * 8L).sum
+        pathsUnion(kg, scenario)
 
       case ST(lambda) =>
         val terms = terminalIndices(g, scenario.terminals)
-        // Eq. (1) in the thread's workspace table: the kernel reads the cost
-        // oracle once per arc into its cost buffer, and neither boxes.
+        mem = terms.length.toLong * g.numVertices * 12L
+        // Eq. (1) in the thread's workspace table, then gathered with the
+        // base weights into the thread's cost buffer; nothing here boxes.
         val overlay = WeightAdjust.overlayTable(kg, scenario.paths, scenario.anchors, lambda,
           g.workspace.overlay)
         var wMax = kg.maxBaseWeight
@@ -86,21 +95,15 @@ object Summarizer {
           if (overlay.isOccupied(s) && overlay.doubleAt(s) > wMax) wMax = overlay.doubleAt(s)
           s += 1
         }
-        val wm = wMax
-        val cost: EdgeCost = (e: Int) => {
-          val o = overlay.find(e)
-          val w = if (o < 0) g.edgeWeight(e) else overlay.doubleAt(o)
-          (wm - w) + Delta
-        }
-        val res = SteinerTree.summarize(g, cost, terms)
-        (resolve(kg, scenario, terms, res, keepIsolated = true),
-          terms.length.toLong * g.numVertices * 12L)
+        val costs = g.fillOverlaidCosts(g.workspace, wMax, overlay, Delta)
+        resolve(kg, scenario, terms, SteinerTree.summarize(g, costs, terms), keepIsolated = true)
 
-      case PCST(edgeCost) =>
+      case pcst: PCST =>
         val terms = terminalIndices(g, scenario.terminals)
-        val res = Pcst.summarize(g, EdgeCost.uniform(edgeCost), terms,
-          Array.fill(terms.length)(1.0))
-        (resolve(kg, scenario, terms, res, keepIsolated = false), g.numVertices * 16L)
+        mem = g.numVertices * 16L
+        val prizes = new Array[Double](terms.length)
+        java.util.Arrays.fill(prizes, 1.0)
+        resolve(kg, scenario, terms, Pcst.summarize(g, pcst.cost, terms, prizes), keepIsolated = false)
     }
     Result(scenario.id, scenario.family, method.label, k, sub, System.nanoTime() - t0, mem)
   }
@@ -135,7 +138,8 @@ object Summarizer {
   }
 
   /** Vertex indices of the terminals that are in G, each once, in order of
-    * first occurrence (ST's Kruskal tie-break follows this order).
+    * first occurrence (ST's Kruskal tie-break follows this order). The one
+    * array it allocates is the result when every terminal is in G.
     */
   private def terminalIndices(g: CompactGraph, terminals: Array[Long]): Array[Int] = {
     val idx = new Array[Int](terminals.length)
@@ -146,7 +150,7 @@ object Summarizer {
       if (v >= 0) { idx(n) = v; n += 1 }
       i += 1
     }
-    IndexSort.distinct(idx, n)
+    g.workspace.distinctVertices(idx, n)
   }
 
   /** Turn a kernel result (edge ids) back into a node-id [[Subgraph]].
@@ -155,22 +159,17 @@ object Summarizer {
   private def resolve(kg: KgIndex, scenario: Scenario, terms: Array[Int], res: TreeResult,
                       keepIsolated: Boolean): Subgraph = {
     val g = kg.graph
-    val edges = res.edgeIds.map { e =>
-      SummaryEdge(g.ids(g.edgeSrc(e)), g.ids(g.edgeDst(e)), g.edgeWeight(e))
+    val ids = res.edgeIds
+    val edges = new Array[SummaryEdge](ids.length)
+    var k = 0
+    while (k < ids.length) {
+      val e = ids(k)
+      edges(k) = SummaryEdge(g.ids(g.edgeSrc(e)), g.ids(g.edgeDst(e)), g.edgeWeight(e))
+      k += 1
     }
     // Only terminals that exist in G can appear in V_S; a terminal outside
     // the graph (e.g. a hallucinated PLM item) is dropped entirely.
-    val isolated =
-      if (keepIsolated) {
-        val covered = new Array[Int](2 * res.edgeIds.length)
-        var k = 0
-        while (k < res.edgeIds.length) {
-          covered(2 * k) = g.edgeSrc(res.edgeIds(k)); covered(2 * k + 1) = g.edgeDst(res.edgeIds(k))
-          k += 1
-        }
-        java.util.Arrays.sort(covered)
-        terms.filter(t => java.util.Arrays.binarySearch(covered, t) < 0).map(g.ids(_))
-      } else Array.empty[Long]
+    val isolated = if (keepIsolated) uncovered(g, terms, ids) else Array.emptyLongArray
     Subgraph(
       terminals = scenario.terminals,
       edges = edges,
@@ -178,5 +177,24 @@ object Summarizer {
       isolated = isolated,
       pathNodeOccurrences = res.pathNodeOccurrences,
     )
+  }
+
+  /** Node ids of the terminals that no edge of `edgeIds` touches, in `terms`
+    * order; the covered vertices are marked in the thread's vertex mark set.
+    */
+  private def uncovered(g: CompactGraph, terms: Array[Int], edgeIds: Array[Int]): Array[Long] = {
+    val ws = g.workspace
+    ws.clearMarks()
+    var k = 0
+    while (k < edgeIds.length) { ws.mark(g.edgeSrc(edgeIds(k))); ws.mark(g.edgeDst(edgeIds(k))); k += 1 }
+    var count = 0
+    k = 0
+    while (k < terms.length) { if (!ws.marked(terms(k))) count += 1; k += 1 }
+    if (count == 0) return Array.emptyLongArray
+    val out = new Array[Long](count)
+    var m = 0
+    k = 0
+    while (k < terms.length) { if (!ws.marked(terms(k))) { out(m) = g.ids(terms(k)); m += 1 }; k += 1 }
+    out
   }
 }

@@ -2,10 +2,12 @@ package repro.graph
 
 import org.apache.spark.sql.DataFrame
 
-/** Per-edge cost oracle used by the tree kernels. Indexed by *edge id*
+/** Per-edge cost oracle of the tree kernels' `EdgeCost` entries (PCST's
+  * uniform cost, the `dijkstra`/`voronoi` adapters). Indexed by *edge id*
   * (position in the original directed edge list), not by arc. A kernel
   * reads the costs once per call ([[CompactGraph.fillCosts]]) and
-  * searches on what that returns.
+  * searches on what that returns; `Summarizer` fills ST's Eq. (1) costs
+  * with [[CompactGraph.fillOverlaidCosts]] instead.
   */
 trait EdgeCost extends Serializable { def apply(edge: Int): Double }
 
@@ -134,7 +136,8 @@ final class CompactGraph(
     var s = from
     while (s < until) {
       val v = terms(s)
-      require(!ws.reached(v), s"source vertex $v listed twice")
+      // Not `require`: its message thunk would be allocated for every source.
+      if (ws.reached(v)) throw new IllegalArgumentException(s"source vertex $v listed twice")
       ws.relax(v, 0.0, -1, s)
       s += 1
     }
@@ -225,6 +228,52 @@ final class CompactGraph(
         a += 1
       }
       buf
+  }
+
+  /** ST's Eq. (1) costs for the [[search]]es of one kernel call, in `ws`'s
+    * cost buffer: arc `a` of edge `e` gets `(wm − w(e)) + delta`, where
+    * `w(e)` is the overlay's weight for an edge the overlay holds and
+    * `edgeWeight(e)` otherwise. The base cost is gathered for every arc,
+    * then the two arcs of each overlay edge are patched, found by binary
+    * search in their endpoints' ascending edge ids; so no arc pays a table
+    * lookup, and the values are those of [[fillCosts]] on the same formula.
+    * A NaN or negative cost throws, naming the edge, as in [[fillCosts]].
+    */
+  def fillOverlaidCosts(ws: SearchSpace, wm: Double, overlay: LongKeyTable,
+                        delta: Double): Array[Double] = {
+    val arcs = arcEdge.length
+    val buf = ws.costs(arcs)
+    var a = 0
+    while (a < arcs) {
+      val e = arcEdge(a)
+      val c = (wm - edgeWeight(e)) + delta
+      // A bad base cost counts only if no overlay weight replaces it.
+      if (!(c >= 0) && overlay.find(e) < 0) checkCost(e, c)
+      buf(a) = c
+      a += 1
+    }
+    var s = 0
+    while (s < overlay.capacity) {
+      if (overlay.isOccupied(s)) {
+        val e = overlay.keyAt(s).toInt
+        val c = (wm - overlay.doubleAt(s)) + delta
+        checkCost(e, c)
+        patchArcs(buf, edgeSrc(e), e, c)
+        if (edgeDst(e) != edgeSrc(e)) patchArcs(buf, edgeDst(e), e, c)
+      }
+      s += 1
+    }
+    buf
+  }
+
+  // Writes c at the arcs of edge e in v's row: one, or the adjacent two of a self-loop.
+  private def patchArcs(buf: Array[Double], v: Int, e: Int, c: Double): Unit = {
+    val from = offsets(v); val until = offsets(v + 1)
+    val hit = java.util.Arrays.binarySearch(arcEdge, from, until, e)
+    var a = hit
+    while (a >= from && arcEdge(a) == e) { buf(a) = c; a -= 1 }
+    a = hit + 1
+    while (a < until && arcEdge(a) == e) { buf(a) = c; a += 1 }
   }
 
   private def checkCost(e: Int, c: Double): Unit =
@@ -324,15 +373,22 @@ final class CompactGraph(
   * scratch lives as long as the thread: it grows geometrically to the
   * largest summary the thread has run and is never shrunk.
   *
+  * A vertex mark set, epoch-stamped like the search arrays but untouched
+  * by a search, dedupes terminals ([[distinctVertices]]) and finds the
+  * terminals a summary leaves isolated.
+  *
   * Three more per-thread pieces are sized by the graph's edges, not by a
-  * summary: the cost buffer that [[CompactGraph.fillCosts]] writes once
-  * per kernel call with a non-uniform cost and every [[CompactGraph.search]]
-  * of the call reads (2|E| doubles in arc order, allocated on first use),
+  * summary: the cost buffer that [[CompactGraph.fillCosts]] or
+  * [[CompactGraph.fillOverlaidCosts]] writes once per kernel call with a
+  * non-uniform cost and every [[CompactGraph.search]] of the call reads
+  * (2|E| doubles in arc order, allocated on first use),
   * the proposal triangle (≥ |E| ints) and the Eq. (1) overlay table, which
   * the summarizer fills before a kernel runs and no kernel touches.
   */
 final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
   private var epoch      = startEpoch
+  private var markEpoch  = startEpoch
+  private val markedAt   = new Array[Int](n)
   private val reachedAt  = new Array[Int](n)
   private val settledAt  = new Array[Int](n)
   private val targetAt   = new Array[Int](n)
@@ -435,6 +491,43 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
     * later use of this space can change.
     */
   def edgeIds: Array[Int] = java.util.Arrays.copyOf(edgeList, edgeCount)
+
+  /** Empties the vertex mark set, a set of vertex indices that no search
+    * touches. Membership is an epoch stamp per vertex, so clearing costs
+    * O(1); the kernels' terminal dedupe and ST's isolated-terminal check
+    * run on it.
+    */
+  def clearMarks(): Unit = {
+    if (markEpoch == Int.MaxValue) { java.util.Arrays.fill(markedAt, 0); markEpoch = 0 }
+    markEpoch += 1
+  }
+
+  /** Adds vertex `v` to the mark set; false if it is already in. */
+  def mark(v: Int): Boolean =
+    if (markedAt(v) == markEpoch) false else { markedAt(v) = markEpoch; true }
+
+  def marked(v: Int): Boolean = markedAt(v) == markEpoch
+
+  /** The distinct vertex indices of `a(0 until n)`, each at its first
+    * occurrence, in the order of those occurrences: `a` itself when
+    * `n == a.length` and no vertex repeats, a fresh array otherwise. Leaves
+    * them in the mark set.
+    */
+  def distinctVertices(a: Array[Int], n: Int): Array[Int] = {
+    clearMarks()
+    var count = 0
+    var i = 0
+    while (i < n) { if (mark(a(i))) count += 1; i += 1 }
+    if (count == a.length) a
+    else {
+      val out = new Array[Int](count)
+      clearMarks()
+      var m = 0
+      i = 0
+      while (i < n) { if (mark(a(i))) { out(m) = a(i); m += 1 }; i += 1 }
+      out
+    }
+  }
 
   /** Distance from the nearest source (+∞ if unreached). */
   def dist(v: Int): Double = if (reachedAt(v) == epoch) distOf(v) else Double.PositiveInfinity

@@ -1,8 +1,8 @@
 package repro.graph
 
 /** Sorting on primitive arrays for the kernels' per-summary tails: the
-  * Kruskal orders of ST's metric closure and PCST's boundary proposals, and
-  * terminal deduplication. Nothing here boxes, and no comparison allocates.
+  * Kruskal orders of ST's metric closure and PCST's boundary proposals.
+  * Nothing here boxes, and no comparison allocates.
   */
 object IndexSort {
 
@@ -42,32 +42,5 @@ object IndexSort {
       width *= 2
     }
     from
-  }
-
-  /** The distinct values of `a(0 until n)`, each at its first occurrence,
-    * in the order of those occurrences.
-    */
-  def distinct(a: Array[Int], n: Int): Array[Int] = {
-    // (value, position) packed so one primitive sort groups equal values,
-    // first occurrence first.
-    val packed = new Array[Long](n)
-    var i = 0
-    while (i < n) { packed(i) = (a(i).toLong << 32) | i; i += 1 }
-    java.util.Arrays.sort(packed)
-    val first = new Array[Boolean](n)
-    var count = 0
-    var k = 0
-    while (k < n) {
-      if (k == 0 || (packed(k) >> 32) != (packed(k - 1) >> 32)) { first(packed(k).toInt) = true; count += 1 }
-      k += 1
-    }
-    val out = new Array[Int](count)
-    var m = 0
-    i = 0
-    while (i < n) {
-      if (first(i)) { out(m) = a(i); m += 1 }
-      i += 1
-    }
-    out
   }
 }

@@ -98,6 +98,33 @@ class GoldenSummarySpec extends SparkSpec {
     assert(pcst < bound, s"PCST allocated $pcst bytes, bound $bound (|T| = $n)")
   }
 
+  test("a warm Summarizer.summarize allocates its result and O(|E_S| + |T|) more") {
+    val group = tasks.collectFirst { case (s: UserGroup, _, _) if s.groupId == "g8" => s }.get
+    val bean = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    for (method <- Seq(Summarizer.ST(1.0), Summarizer.PCST())) {
+      // The result is about 50 bytes per summary edge (its SummaryEdge and
+      // its slots in the edge and edge-id arrays) plus a few small objects;
+      // the terminal index array, and PCST's prizes and sorted terminals,
+      // add 4 to 16 bytes per terminal.
+      var least = Long.MaxValue
+      var edges = 0
+      var call = 0
+      while (call < 12) {
+        val before = bean.getCurrentThreadAllocatedBytes
+        val r = Summarizer.summarize(idx, group, method, 10)
+        val bytes = bean.getCurrentThreadAllocatedBytes - before
+        if (call >= 2) least = math.min(least, bytes) // two warm-up calls
+        edges = r.subgraph.edges.length
+        call += 1
+      }
+      val terminals = group.terminals.length
+      val budget = 256L + 64L * edges + 32L * terminals
+      info(s"${method.label}: |E_S| = $edges, |T| = $terminals, least of 10 calls $least B, budget $budget B")
+      assert(terminals >= 20 && edges >= terminals - 1, s"|E_S| = $edges, |T| = $terminals")
+      assert(least <= budget, s"${method.label} allocated $least bytes, budget $budget")
+    }
+  }
+
   test("summarizeBatch over parallel executor threads gives the same fingerprint") {
     val kgB = spark.sparkContext.broadcast(idx)
     val batch = Summarizer.summarizeBatch(spark.sparkContext, kgB, tasks)

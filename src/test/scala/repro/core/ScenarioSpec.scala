@@ -51,4 +51,29 @@ class ScenarioSpec extends AnyFunSuite {
     assert(UserCentric(u1, Seq.empty).terminals.toSet == Set(u1))
     assert(UserCentric(u1, Seq.empty).anchors == 0)
   }
+
+  private def roundTrip[T](x: T): T = {
+    val bytes = new java.io.ByteArrayOutputStream()
+    val out = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(x); out.close()
+    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[T]
+  }
+
+  test("ids and ST labels are built once; scenarios survive Java serialization") {
+    val paths = Seq(p(u1, i1, 1), p(u2, i2, 2))
+    val scenarios = Seq(UserCentric(u1, paths), ItemCentric(i1, paths), UserGroup("g0", Seq(u1, u2), paths),
+      ItemGroup("pop", Seq(i1, i2), paths))
+    assert(scenarios.map(_.id) == Seq(s"user:$u1", s"item:$i1", "ugroup:g0", "igroup:pop"))
+    assert(scenarios.forall(s => s.id eq s.id))
+    val labels = Seq(0.01, 1.0, 100.0).map(Summarizer.ST(_))
+    assert(labels.map(_.label) == Seq("st(λ=0.01)", "st(λ=1.0)", "st(λ=100.0)"))
+    assert(labels.forall(m => m.label eq m.label))
+    // Spark ships scenarios and methods to executors by Java serialization.
+    scenarios.foreach { s =>
+      val copy = roundTrip(s)
+      assert(copy == s && copy.id == s.id && copy.terminals.sameElements(s.terminals) && copy.anchors == s.anchors)
+    }
+    labels.foreach(m => assert(roundTrip(m) == m && roundTrip(m).label == m.label))
+    assert(roundTrip(Summarizer.PCST(0.5)) == Summarizer.PCST(0.5))
+  }
 }

@@ -144,6 +144,117 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     assert((0 until g.numVertices).forall(v => ws.dist(v) == 0.0))
   }
 
+  /** The Eq. (1) cost oracle as the summarizer ran it per edge before the
+    * gather: an overlay lookup, then `(wm − w) + delta`.
+    */
+  private def eq1Oracle(g: CompactGraph, wm: Double, overlay: LongKeyTable, delta: Double): EdgeCost =
+    (e: Int) => {
+      val o = overlay.find(e)
+      val w = if (o < 0) g.edgeWeight(e) else overlay.doubleAt(o)
+      (wm - w) + delta
+    }
+
+  /** An Eq. (1) overlay on `g` for λ: each edge is boosted with chance 1/2
+    * at the highest-degree vertex and 1/5 elsewhere, by c of `anchors` paths.
+    */
+  private def randomOverlay(g: CompactGraph, lambda: Double, rnd: scala.util.Random,
+                            table: LongKeyTable): LongKeyTable = {
+    val hub = (0 until g.numVertices).maxBy(g.degree)
+    val anchors = 1 + rnd.nextInt(5)
+    table.reset(g.numEdges)
+    (0 until g.numEdges).foreach { e =>
+      val atHub = g.edgeSrc(e) == hub || g.edgeDst(e) == hub
+      if (rnd.nextInt(10) < (if (atHub) 5 else 2)) {
+        val c = 1 + rnd.nextInt(anchors)
+        table.put(e, g.edgeWeight(e) * (1.0 + lambda * c.toDouble / anchors), c)
+      }
+    }
+    table
+  }
+
+  private def maxWeight(g: CompactGraph, overlay: LongKeyTable): Double =
+    ((0 until overlay.capacity).filter(overlay.isOccupied).map(overlay.doubleAt) ++ g.edgeWeight).max
+
+  test("property: Eq. (1) gather and overlay patch equal the oracle fill bit for bit") {
+    val gen = for {
+      triples <- TestGraphs.multigraphGen(12)
+      seed <- Gen.choose(0L, Long.MaxValue)
+      lambda <- Gen.oneOf(0.01, 1.0, 100.0)
+    } yield (triples, seed, lambda)
+    checkProp(Prop.forAll(gen) { case (triples, seed, lambda) =>
+      val rnd = new scala.util.Random(seed)
+      // Parallel edges and self-loops with distinct weights, joined at a hub.
+      val g = CompactGraph.fromTriples(triples.map { case (a, b, _) => (a, b, 0.1 + 3 * rnd.nextDouble()) })
+      val ws = new SearchSpace(g.numVertices)
+      // A fill for another overlay first: the second must leave no stale patch.
+      val stale = randomOverlay(g, lambda, rnd, new LongKeyTable(0))
+      g.fillOverlaidCosts(ws, maxWeight(g, stale), stale, 1e-6)
+      val overlay = randomOverlay(g, lambda, rnd, new LongKeyTable(0))
+      val wm = maxWeight(g, overlay)
+      val gathered = g.fillOverlaidCosts(ws, wm, overlay, 1e-6)
+      val oracle = g.fillCosts(new SearchSpace(g.numVertices), eq1Oracle(g, wm, overlay, 1e-6))
+      (0 until 2 * g.numEdges).forall { a =>
+        java.lang.Double.doubleToRawLongBits(gathered(a)) == java.lang.Double.doubleToRawLongBits(oracle(a))
+      }
+    }, minTests = 100)
+  }
+
+  test("fillOverlaidCosts rejects a NaN or negative cost, naming the edge") {
+    val g = diamond
+    val ws = new SearchSpace(g.numVertices)
+    val overlay = new LongKeyTable(0)
+    def message(wm: Double, boosted: (Int, Double)*): String = {
+      overlay.reset(boosted.size)
+      boosted.foreach { case (e, w) => overlay.put(e, w, 1) }
+      intercept[IllegalArgumentException](g.fillOverlaidCosts(ws, wm, overlay, 0.0)).getMessage
+    }
+    // An overlay weight above wm, or a NaN one, makes that edge's patched cost bad.
+    assert(message(2.0, 3 -> 2.5).contains("edge 3 has cost -0.5"))
+    assert(message(2.0, 4 -> Double.NaN).contains("edge 4 has cost NaN"))
+    // A NaN wm: every cost is NaN, and arc 0 belongs to edge 0.
+    assert(message(Double.NaN).contains("edge 0 has cost NaN"))
+    // wm below base weights 2.0: edge 1's arc comes first, unless the overlay
+    // replaces its weight, when edge 2 is the first bad one.
+    assert(message(1.5).contains("edge 1 has cost -0.5"))
+    assert(message(1.5, 1 -> 1.0).contains("edge 2 has cost -0.5"))
+    // A legal fill: the diamond's weights under wm 2.0, edge 4 boosted to 1.0.
+    overlay.reset(1)
+    overlay.put(4, 1.0, 1)
+    val costs = g.fillOverlaidCosts(ws, 2.0, overlay, 0.0)
+    assert((0 until 2 * g.numEdges).forall { a =>
+      val e = g.arcEdge(a)
+      costs(a) == (if (e == 4) 1.0 else 2.0 - g.edgeWeight(e))
+    })
+  }
+
+  /** Inputs for the vertex dedupe on 14 vertices: repeats are common, and a
+    * third of the inputs have none; `extra` unread entries may follow the `n` read ones.
+    */
+  private val dedupeInput: Gen[(Array[Int], Int)] = for {
+    xs <- Gen.oneOf(Gen.listOf(Gen.choose(0, 12)), Gen.listOf(Gen.choose(0, 12)),
+      Gen.containerOf[Set, Int](Gen.choose(0, 12)).map(_.toList))
+    extra <- Gen.frequency(2 -> Gen.const(0), 1 -> Gen.choose(1, 3))
+  } yield (xs.toArray ++ Array.fill(extra)(13), xs.length)
+
+  private def dedupes(ws: SearchSpace, a: Array[Int], n: Int): Boolean = {
+    val out = ws.distinctVertices(a, n)
+    val expected = a.take(n).distinct
+    out.toSeq == expected.toSeq && (out eq a) == (n == a.length && expected.length == n) &&
+      expected.forall(ws.marked) && (0 until 14).count(ws.marked) == expected.length
+  }
+
+  test("property: distinctVertices keeps first occurrences") {
+    val ws = new SearchSpace(14) // reused, so no mark may outlive its call
+    checkProp(Prop.forAll(dedupeInput) { case (a, n) => dedupes(ws, a, n) }, minTests = 200)
+  }
+
+  test("distinctVertices across the mark-epoch wraparound") {
+    val ws = new SearchSpace(14, startEpoch = Int.MaxValue - 3)
+    val inputs = (1L to 8L).map(seed =>
+      dedupeInput.pureApply(Gen.Parameters.default, org.scalacheck.rng.Seed(seed)))
+    assert(inputs.forall { case (a, n) => dedupes(ws, a, n) })
+  }
+
   test("property: path edge costs sum to the reported distance") {
     checkProp(Prop.forAll(TestGraphs.randomGraphGen(10)) { triples =>
       val g = CompactGraph.fromTriples(triples)

@@ -55,14 +55,4 @@ class IndexSortSpec extends AnyFunSuite with PropSupport {
       order.map(p => byKeyValue(keys(p))).toSeq == proposals.sorted(byCost)
     }, minTests = 200)
   }
-
-  test("property: distinct keeps first occurrences in order") {
-    val gen = for {
-      xs <- Gen.listOf(Gen.choose(-3, 12))
-      extra <- Gen.choose(0, 3)
-    } yield (xs.toArray ++ Array.fill(extra)(99), xs.length)
-    checkProp(Prop.forAll(gen) { case (a, n) =>
-      IndexSort.distinct(a, n).toSeq == a.take(n).distinct.toSeq
-    }, minTests = 200)
-  }
 }

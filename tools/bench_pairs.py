@@ -14,9 +14,11 @@ Prints, per workload and metric, the median and quartiles of each side,
 the relative change of the medians, in how many pairs the change was
 better and a verdict (see `verdict`), for the gated metrics of
 BENCHMARK.json, with their `bound` and `better`, plus `st_ms_p50` and
-`pcst_ms_p50`, which have no bound. Exits 1 if any run is not `correct` or
-fails, or if any verdict is `worse` or `unresolved` (see `refusals`), and
-leaves perfbench/ and BENCHMARK.json alone.
+`pcst_ms_p50`, which have no bound. A workload that BENCHMARK.json declares
+is compared on all of them; any other (`harness-grid`) on those its runs
+print (see `compared`). Exits 1 if any run is not `correct`, fails or lacks
+a metric it must print, or if any verdict is `worse` or `unresolved` (see
+`refusals`), and leaves perfbench/ and BENCHMARK.json alone.
 """
 import argparse
 import json
@@ -135,6 +137,26 @@ def refusals(verdicts):
     return out
 
 
+def compared(workload, printed, names, declared):
+    """The metrics of `names` that a run of `workload` must print and is compared on.
+
+    A workload that BENCHMARK.json declares (`declared`) is gated on every
+    one of them, so one that its run did not print is an error. Any other
+    workload is compared on the ones its run printed: `harness-grid` prints
+    no `st_alloc_mb` or `pcst_alloc_mb`.
+
+    >>> names = ["setup_s", "st_alloc_mb", "pcst_alloc_mb", "st_ms_p50"]
+    >>> declared = ["uc-ksweep", "user-group"]
+    >>> compared("uc-ksweep", {"setup_s": 2.1, "st_ms_p50": 9.5}, names, declared)
+    ['setup_s', 'st_alloc_mb', 'pcst_alloc_mb', 'st_ms_p50']
+    >>> compared("harness-grid", {"setup_s": 2.1, "eval.harness_s": 1.6}, names, declared)
+    ['setup_s']
+    """
+    if workload in declared:
+        return list(names)
+    return [m for m in names if m in printed]
+
+
 def run(checkout, workload, seed, seconds):
     """One benchmark run in `checkout`: (correct, {metric: value})."""
     proc = subprocess.run(
@@ -165,7 +187,9 @@ def main():
     a = p.parse_args()
     root = os.getcwd()
     with open(os.path.join(root, "BENCHMARK.json")) as f:
-        gated = {m["name"]: m for m in json.load(f)["end_to_end"]}
+        bench = json.load(f)
+    gated = {m["name"]: m for m in bench["end_to_end"]}
+    declared = [w["name"] for w in bench["workloads"]]
     names = list(gated) + [m for m in EXTRA if m not in gated]
     workloads = a.workloads.split(",")
 
@@ -177,7 +201,6 @@ def main():
                        stdout=subprocess.DEVNULL)
         parent = worktree
     values = {(w, side, m): [] for w in workloads for side in ("parent", "change") for m in names}
-    pairs = {w: 0 for w in workloads}
     bad = []
     sides = [("parent", parent), ("change", root)]
     try:
@@ -188,12 +211,12 @@ def main():
                     correct, metrics = run(checkout, w, seed, a.seconds)
                     print(f"{w} seed={seed} {side}: correct={correct} " +
                           " ".join(f"{m}={metrics.get(m)}" for m in names), flush=True)
-                    if not correct or any(m not in metrics for m in names):
+                    if not correct or any(m not in metrics for m in compared(w, metrics, names, declared)):
                         bad.append(f"{w} seed={seed} {side}")
                     got[side] = metrics
-                if all(m in got[s] for s in got for m in names):
-                    pairs[w] += 1
-                    for m in names:
+                # A pair counts for a metric that both of its runs printed.
+                for m in compared(w, got["parent"], names, declared):
+                    if all(m in got[side] for side in got):
                         for side in got:
                             values[(w, side, m)].append(got[side][m])
     finally:
@@ -201,22 +224,22 @@ def main():
             subprocess.run(["git", "worktree", "remove", "--force", worktree], cwd=root)
 
     print()
-    print(f"{'workload':<11} {'metric':<14} {'parent median [q1, q3]':<40} "
+    print(f"{'workload':<12} {'metric':<14} {'parent median [q1, q3]':<40} "
           f"{'change median [q1, q3]':<40} {'change':>7}  better  verdict")
     verdicts = {}
     for w in workloads:
         for m in names:
-            if not pairs[w]:
-                continue
             parent_values, change_values = values[(w, "parent", m)], values[(w, "change", m)]
+            if not parent_values:
+                continue
             better = gated.get(m, {}).get("better", "lower")
             v = verdict(parent_values, change_values, gated.get(m, {}).get("bound"), better)
             n_better = wins(parent_values, change_values, better)
             pq1, pm, pq3 = quartiles(parent_values)
             cq1, cm, cq3 = quartiles(change_values)
             rel = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
-            print(f"{w:<11} {m:<14} {f'{pm:.6g} [{pq1:.6g}, {pq3:.6g}]':<40} "
-                  f"{f'{cm:.6g} [{cq1:.6g}, {cq3:.6g}]':<40} {rel:>7}  {f'{n_better}/{pairs[w]}':<6}  {v}")
+            print(f"{w:<12} {m:<14} {f'{pm:.6g} [{pq1:.6g}, {pq3:.6g}]':<40} "
+                  f"{f'{cm:.6g} [{cq1:.6g}, {cq3:.6g}]':<40} {rel:>7}  {f'{n_better}/{len(parent_values)}':<6}  {v}")
             verdicts[f"{w} {m}"] = v
     refused = refusals(verdicts)
     if bad:
