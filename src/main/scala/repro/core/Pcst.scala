@@ -33,9 +33,8 @@ import repro.graph.{CompactGraph, EdgeCost, IndexSort}
 object Pcst {
 
   // This kernel's buffers in the calling thread's SearchSpace.
-  private final val Costs = 0     // doubles
+  private final val Costs = 0     // doubles; first the terminals as sort keys
   private final val Remaining = 1
-  private final val Packed = 0    // longs
   private final val Bridges = 0   // ints
   private final val Perm = 1
   private final val SortBuf = 2
@@ -54,14 +53,14 @@ object Pcst {
     require(terminals.length == prizes.length, "one prize per terminal")
     val ws = g.workspace
     // Distinct terminals in ascending vertex order, each with the largest
-    // of its prizes (the first of equal ones): (vertex, position) packed so
-    // one primitive sort groups a terminal's occurrences in input order.
+    // of its prizes (the first of equal ones): a stable sort by vertex
+    // groups a terminal's occurrences in input order.
     val len = terminals.length
-    val packed = ws.longs(Packed, len)
+    val keys = ws.doubles(Costs, len)
     var i = 0
-    while (i < len) { packed(i) = (terminals(i).toLong << 32) | i; i += 1 }
-    java.util.Arrays.sort(packed, 0, len)
-    def vertexAt(k: Int): Int = (packed(k) >> 32).toInt
+    while (i < len) { keys(i) = terminals(i); i += 1 }
+    val byVertex = IndexSort.byKey(keys, len, ws.ints(Perm, len), ws.ints(SortBuf, len))
+    def vertexAt(k: Int): Int = terminals(byVertex(k))
     def firstOf(k: Int): Boolean = k == 0 || vertexAt(k) != vertexAt(k - 1)
     var distinct = 0
     i = 0
@@ -72,9 +71,9 @@ object Pcst {
     var t = -1
     i = 0
     while (i < len) {
-      val p = prizes(packed(i).toInt)
+      val p = prizes(byVertex(i))
       // A NaN prize would make the growth radius NaN and the search reach nothing.
-      if (!(p >= 0)) throw new IllegalArgumentException(s"prize at position ${packed(i).toInt} is $p")
+      if (!(p >= 0)) throw new IllegalArgumentException(s"prize at position ${byVertex(i)} is $p")
       if (firstOf(i)) { t += 1; terms(t) = vertexAt(i); remaining(t) = p }
       else if (remaining(t) < p) remaining(t) = p
       i += 1

@@ -58,14 +58,15 @@ object Summarizer {
     * which holds the Θ(|V|) search state and vertex marks and the kernels'
     * scratch: ST's Θ(|T|²) metric closure with its paths lives there,
     * grown to the largest summary the thread has run. So do the Θ(|E|)
-    * cost buffer (one double per arc), PCST's proposal triangle (one int
-    * per terminal pair, at least |E| of them) and the Eq. (1) overlay
-    * table. ST fills the cost buffer once per summary, by a gather of the
-    * base costs and a patch of the overlay edges' arcs
+    * cost buffer (one double per arc) and PCST's proposal triangle (one
+    * int per terminal pair, at least |E| of them). ST's Eq. (1) overlay is
+    * written into the numbered scratch buffers before its kernel runs; ST
+    * fills the cost buffer once per summary, by a gather of the base costs
+    * and a patch of the overlay edges' arcs
     * ([[CompactGraph.fillOverlaidCosts]]), and all of its searches read it.
     * So a warm summary allocates this result, its subgraph's arrays and
-    * edges, and little more: the terminal index array, and for PCST its
-    * prizes and sorted terminals.
+    * edges, and little more: the terminal index array, the one iterator
+    * over ST's paths, and for PCST its prizes and sorted terminals.
     */
   final case class Result(scenarioId: String, family: String, method: String, k: Int,
                           subgraph: Subgraph, timeNs: Long, memModelBytes: Long)
@@ -85,17 +86,16 @@ object Summarizer {
       case ST(lambda) =>
         val terms = terminalIndices(g, scenario.terminals)
         mem = terms.length.toLong * g.numVertices * 12L
-        // Eq. (1) in the thread's workspace table, then gathered with the
+        // Eq. (1) in the thread's workspace buffers, then gathered with the
         // base weights into the thread's cost buffer; nothing here boxes.
-        val overlay = WeightAdjust.overlayTable(kg, scenario.paths, scenario.anchors, lambda,
-          g.workspace.overlay)
+        val ws = g.workspace
+        val m = WeightAdjust.overlayTable(kg, scenario.paths, scenario.anchors, lambda, ws)
+        val edges = ws.ints(WeightAdjust.Edges, m)
+        val weights = ws.doubles(WeightAdjust.Weights, m)
         var wMax = kg.maxBaseWeight
-        var s = 0
-        while (s < overlay.capacity) {
-          if (overlay.isOccupied(s) && overlay.doubleAt(s) > wMax) wMax = overlay.doubleAt(s)
-          s += 1
-        }
-        val costs = g.fillOverlaidCosts(g.workspace, wMax, overlay, Delta)
+        var i = 0
+        while (i < m) { if (weights(i) > wMax) wMax = weights(i); i += 1 }
+        val costs = g.fillOverlaidCosts(ws, wMax, edges, weights, m, Delta)
         resolve(kg, scenario, terms, SteinerTree.summarize(g, costs, terms), keepIsolated = true)
 
       case pcst: PCST =>

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.LongKeyTable
+import repro.graph.{IndexSort, SearchSpace}
 import repro.kg.KgIndex
 import repro.rec.ExplanationPath
 
@@ -15,36 +15,46 @@ import repro.rec.ExplanationPath
   * contains `e`. λ = 0 nullifies the input paths; λ = 100 makes the
   * summary follow them almost exclusively.
   *
-  * [[overlayTable]] is the per-summary kernel form: a sparse edge-id →
-  * weight overlay on the broadcast CSR graph, since only path edges change,
-  * written into a table the caller owns (the summarizer passes its thread's
-  * workspace table, so a summary allocates no overlay). [[overlay]] copies
-  * it into a `HashMap` for the benchmark's replay; the tests check both
-  * against a DataFrame form of the formula and DuckDB.
+  * [[overlayTable]] is the per-summary kernel form: a sparse overlay of
+  * edge ids and their weights on the broadcast CSR graph, since only path
+  * edges change, written into numbered buffers of a caller's workspace (the
+  * summarizer passes its thread's, so a warm summary allocates no overlay).
+  * [[overlay]] copies it into a `HashMap` for the benchmark's replay; the
+  * tests check both against a DataFrame form of the formula and DuckDB.
   */
 object WeightAdjust {
 
-  /** Kernel form: sparse overlay edge id → (adjusted weight, number of
-    * paths containing the edge), holding only the edges that occur in
-    * `paths` (every other edge keeps its base weight). Hops that are not KG
-    * edges (PLM's hallucinated hops) boost nothing — they cannot be
-    * traversed by a subgraph of G.
+  /** The workspace buffers that hold the overlay: its edges (`ints`) and their weights (`doubles`). */
+  final val Edges = 3
+  final val Weights = 1
+
+  // Scratch while counting: one entry per KG hop.
+  private final val HopEdges = 0 // doubles
+  private final val HopPaths = 0 // ints from here on
+  private final val Perm = 1
+  private final val SortBuf = 2
+
+  /** Kernel form: writes the edges that occur in `paths`, ascending, to
+    * `ws.ints(Edges, m)` and their adjusted weights to
+    * `ws.doubles(Weights, m)`, and returns their number m (every other
+    * edge keeps its base weight). Hops that are not KG edges (PLM's
+    * hallucinated hops) boost nothing — they cannot be traversed by a
+    * subgraph of G.
     *
-    * `table` is reset and returned. It is sized for the paths' total hop
-    * count, which bounds the distinct edges, so it never grows mid-fill.
+    * The paths are walked once, appending each KG hop's edge id (exact as
+    * a double below 2^53) and path index; a stable sort by edge id then
+    * keeps each edge's run in path order, so an edge counts once per path,
+    * however often the path walks it. The overlay uses buffers that the
+    * tree kernels also use: it is dead once the costs are filled.
     */
   def overlayTable(kg: KgIndex, paths: Seq[ExplanationPath], anchors: Int,
-                   lambda: Double, table: LongKeyTable): LongKeyTable = {
+                   lambda: Double, ws: SearchSpace): Int = {
     val g = kg.graph
+    var hopEdges = ws.doubles(HopEdges, 0)
+    var hopPaths = ws.ints(HopPaths, 0)
     var hops = 0
-    var it = paths.iterator
-    while (it.hasNext) hops += it.next().length
-    table.reset(hops)
-    // While counting, an entry's double holds the index of the last path
-    // that counted it: an edge counts once per path, however often the
-    // path walks it.
     var path = 0
-    it = paths.iterator
+    val it = paths.iterator
     while (it.hasNext) {
       val nodes = it.next().nodes
       var a = g.find(nodes(0))
@@ -53,37 +63,47 @@ object WeightAdjust {
         val b = g.find(nodes(h))
         val e = if (a < 0 || b < 0) -1 else kg.edgeId(a, b)
         if (e >= 0) {
-          val s = table.find(e)
-          if (s < 0) table.put(e, path, 1)
-          else if (table.doubleAt(s) != path) table.put(e, path, table.intAt(s) + 1)
+          if (hops == hopEdges.length) hopEdges = ws.doubles(HopEdges, hops + 1)
+          if (hops == hopPaths.length) hopPaths = ws.ints(HopPaths, hops + 1)
+          hopEdges(hops) = e; hopPaths(hops) = path; hops += 1
         }
         a = b
         h += 1
       }
       path += 1
     }
+    val order = IndexSort.byKey(hopEdges, hops, ws.ints(Perm, hops), ws.ints(SortBuf, hops))
+    val edges = ws.ints(Edges, hops)
+    val weights = ws.doubles(Weights, hops)
     val n = math.max(1, anchors).toDouble
-    var s = 0
-    while (s < table.capacity) {
-      if (table.isOccupied(s)) {
-        val c = table.intAt(s)
-        table.put(table.keyAt(s), g.edgeWeight(table.keyAt(s).toInt) * (1.0 + lambda * c.toDouble / n), c)
+    var m = 0
+    var k = 0
+    while (k < hops) {
+      val key = hopEdges(order(k))
+      var c = 0
+      var last = -1
+      while (k < hops && hopEdges(order(k)) == key) {
+        if (hopPaths(order(k)) != last) { c += 1; last = hopPaths(order(k)) }
+        k += 1
       }
-      s += 1
+      val e = key.toInt
+      edges(m) = e
+      weights(m) = g.edgeWeight(e) * (1.0 + lambda * c.toDouble / n)
+      m += 1
     }
-    table
+    m
   }
 
-  /** [[overlayTable]] in a fresh table, as a map edge id → adjusted weight. */
+  /** [[overlayTable]] in the calling thread's workspace, copied out as a map edge id → adjusted weight. */
   def overlay(kg: KgIndex, paths: Seq[ExplanationPath], anchors: Int,
               lambda: Double): java.util.HashMap[Integer, java.lang.Double] = {
-    val table = overlayTable(kg, paths, anchors, lambda, new LongKeyTable(0))
-    val out = new java.util.HashMap[Integer, java.lang.Double](table.size)
-    var s = 0
-    while (s < table.capacity) {
-      if (table.isOccupied(s)) out.put(table.keyAt(s).toInt, table.doubleAt(s))
-      s += 1
-    }
+    val ws = kg.graph.workspace
+    val m = overlayTable(kg, paths, anchors, lambda, ws)
+    val edges = ws.ints(Edges, m)
+    val weights = ws.doubles(Weights, m)
+    val out = new java.util.HashMap[Integer, java.lang.Double](m)
+    var i = 0
+    while (i < m) { out.put(edges(i), weights(i)); i += 1 }
     out
   }
 }

@@ -232,14 +232,15 @@ final class CompactGraph(
 
   /** ST's Eq. (1) costs for the [[search]]es of one kernel call, in `ws`'s
     * cost buffer: arc `a` of edge `e` gets `(wm − w(e)) + delta`, where
-    * `w(e)` is the overlay's weight for an edge the overlay holds and
-    * `edgeWeight(e)` otherwise. The base cost is gathered for every arc,
-    * then the two arcs of each overlay edge are patched, found by binary
-    * search in their endpoints' ascending edge ids; so no arc pays a table
-    * lookup, and the values are those of [[fillCosts]] on the same formula.
-    * A NaN or negative cost throws, naming the edge, as in [[fillCosts]].
+    * `w(e)` is `weights(i)` for an overlay edge `e = edges(i)`, `i < m`,
+    * and `edgeWeight(e)` otherwise. The overlay's edges must ascend. The
+    * base cost is gathered for every arc, then the two arcs of each overlay
+    * edge are patched, in ascending edge order, found by binary search in
+    * their endpoints' ascending edge ids; so no arc pays an overlay lookup,
+    * and the values are those of [[fillCosts]] on the same formula. A NaN or
+    * negative cost throws, naming the edge, as in [[fillCosts]].
     */
-  def fillOverlaidCosts(ws: SearchSpace, wm: Double, overlay: LongKeyTable,
+  def fillOverlaidCosts(ws: SearchSpace, wm: Double, edges: Array[Int], weights: Array[Double], m: Int,
                         delta: Double): Array[Double] = {
     val arcs = arcEdge.length
     val buf = ws.costs(arcs)
@@ -248,20 +249,18 @@ final class CompactGraph(
       val e = arcEdge(a)
       val c = (wm - edgeWeight(e)) + delta
       // A bad base cost counts only if no overlay weight replaces it.
-      if (!(c >= 0) && overlay.find(e) < 0) checkCost(e, c)
+      if (!(c >= 0) && java.util.Arrays.binarySearch(edges, 0, m, e) < 0) checkCost(e, c)
       buf(a) = c
       a += 1
     }
-    var s = 0
-    while (s < overlay.capacity) {
-      if (overlay.isOccupied(s)) {
-        val e = overlay.keyAt(s).toInt
-        val c = (wm - overlay.doubleAt(s)) + delta
-        checkCost(e, c)
-        patchArcs(buf, edgeSrc(e), e, c)
-        if (edgeDst(e) != edgeSrc(e)) patchArcs(buf, edgeDst(e), e, c)
-      }
-      s += 1
+    var i = 0
+    while (i < m) {
+      val e = edges(i)
+      val c = (wm - weights(i)) + delta
+      checkCost(e, c)
+      patchArcs(buf, edgeSrc(e), e, c)
+      if (edgeDst(e) != edgeSrc(e)) patchArcs(buf, edgeDst(e), e, c)
+      i += 1
     }
     buf
   }
@@ -365,25 +364,27 @@ final class CompactGraph(
   * larger key), so the owner a vertex settles with is kept per vertex,
   * not per heap entry.
   *
-  * It also holds the tree kernels' per-summary scratch (numbered primitive
-  * buffers, a union–find and the summary edge set), so that a summary
-  * allocates only its result. A kernel owns all of the
+  * It also holds the tree kernels' per-summary scratch (numbered int and
+  * double buffers, a union–find and the summary edge set), so that a
+  * summary allocates only its result. A kernel owns all of the
   * scratch for the length of its call; kernels do not nest on a thread, so
-  * `SteinerTree` and `Pcst` share it. Like the per-vertex arrays, the
-  * scratch lives as long as the thread: it grows geometrically to the
-  * largest summary the thread has run and is never shrunk.
+  * `SteinerTree` and `Pcst` share it. ST's Eq. (1) overlay
+  * (`WeightAdjust.overlayTable`) uses the numbered buffers too: it is
+  * written before the kernel runs and dead once
+  * [[CompactGraph.fillOverlaidCosts]] has read it. Like the per-vertex
+  * arrays, the scratch lives as long as the thread: it grows geometrically
+  * to the largest summary the thread has run and is never shrunk.
   *
   * A vertex mark set, epoch-stamped like the search arrays but untouched
   * by a search, dedupes terminals ([[distinctVertices]]) and finds the
   * terminals a summary leaves isolated.
   *
-  * Three more per-thread pieces are sized by the graph's edges, not by a
+  * Two more per-thread pieces are sized by the graph's edges, not by a
   * summary: the cost buffer that [[CompactGraph.fillCosts]] or
   * [[CompactGraph.fillOverlaidCosts]] writes once per kernel call with a
   * non-uniform cost and every [[CompactGraph.search]] of the call reads
-  * (2|E| doubles in arc order, allocated on first use),
-  * the proposal triangle (≥ |E| ints) and the Eq. (1) overlay table, which
-  * the summarizer fills before a kernel runs and no kernel touches.
+  * (2|E| doubles in arc order, allocated on first use), and the proposal
+  * triangle (≥ |E| ints).
   */
 final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
   private var epoch      = startEpoch
@@ -401,7 +402,6 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
 
   private val intBufs    = Array.fill(SearchSpace.IntBuffers)(new Array[Int](0))
   private val doubleBufs = Array.fill(SearchSpace.DoubleBuffers)(new Array[Double](0))
-  private val longBufs   = Array.fill(SearchSpace.LongBuffers)(new Array[Long](0))
   private var edgeMarkAt = new Array[Int](0)
   private var edgeEpoch  = 0
   private var edgeList   = new Array[Int](16)
@@ -424,11 +424,6 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
     java.util.Arrays.fill(pairArcs, 0, pairs, -1)
     pairArcs
   }
-
-  /** The Eq. (1) weight overlay of the summary being computed on this
-    * thread; no kernel touches it.
-    */
-  val overlay = new LongKeyTable(0)
 
   /** The arc-cost buffer, with at least `arcs` entries. Arcs come in
     * pairs, so it never has the one entry of a uniform cost.
@@ -455,13 +450,6 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
     val a = doubleBufs(slot)
     if (a.length >= size) a
     else { val b = java.util.Arrays.copyOf(a, SearchSpace.grownSize(a.length, size)); doubleBufs(slot) = b; b }
-  }
-
-  /** `Long` buffer number `slot` (`0 until LongBuffers`), as [[ints]]. */
-  def longs(slot: Int, size: Int): Array[Long] = {
-    val a = longBufs(slot)
-    if (a.length >= size) a
-    else { val b = java.util.Arrays.copyOf(a, SearchSpace.grownSize(a.length, size)); longBufs(slot) = b; b }
   }
 
   /** Empties the summary edge set, an insertion-ordered set of edge ids in
@@ -625,7 +613,6 @@ object SearchSpace {
   /** Numbers of scratch buffers of each type. */
   final val IntBuffers = 6
   final val DoubleBuffers = 2
-  final val LongBuffers = 1
 
   /** Slot of region pair a < b of n in the row-major upper triangle: ascends with (a, b). */
   private[graph] def pairSlot(n: Int, a: Int, b: Int): Int = (a.toLong * (2 * n - a - 1) / 2).toInt + (b - a - 1)

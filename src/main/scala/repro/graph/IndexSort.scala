@@ -1,8 +1,11 @@
 package repro.graph
 
-/** Sorting on primitive arrays for the kernels' per-summary tails: the
-  * Kruskal orders of ST's metric closure and PCST's boundary proposals.
-  * Nothing here boxes, and no comparison allocates.
+/** The one sort on the summary path, on primitive arrays: the Kruskal
+  * orders of ST's metric closure and PCST's boundary proposals, PCST's
+  * terminals grouped by vertex, and the Eq. (1) overlay's hops grouped by
+  * edge. Nothing here boxes or allocates: the JDK's primitive sort
+  * allocates a run array for some inputs (a long[] of ≥ 44 entries whose
+  * first ascending run has ≥ 16).
   */
 object IndexSort {
 

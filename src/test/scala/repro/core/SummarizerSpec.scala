@@ -156,20 +156,20 @@ class SummarizerSpec extends SparkSpec {
     assert(s.coveredTerminals.nonEmpty)
   }
 
-  test("the Eq. (1) overlay into the workspace table allocates under 1 KB once warm") {
+  test("the Eq. (1) overlay into the workspace buffers allocates under 1 KB once warm") {
     val rec = new Pgpr
     val g = mlIdx.graph
     val users = (0 until g.numVertices)
       .filter(v => mlIdx.vtype(v) == NodeType.User && g.degree(v) >= 5).take(40)
     val group = UserGroup("g40", users.map(g.ids(_)), users.flatMap(u => rec.recommend(mlIdx, u, 10, seed = 3L)))
     assert(users.size == 40 && group.paths.size > 100, s"${group.paths.size} paths")
-    val table = g.workspace.overlay
+    val ws = g.workspace
     val bean = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
-    WeightAdjust.overlayTable(mlIdx, group.paths, group.anchors, 1.0, table)
+    WeightAdjust.overlayTable(mlIdx, group.paths, group.anchors, 1.0, ws)
     val before = bean.getCurrentThreadAllocatedBytes
-    WeightAdjust.overlayTable(mlIdx, group.paths, group.anchors, 1.0, table)
+    val m = WeightAdjust.overlayTable(mlIdx, group.paths, group.anchors, 1.0, ws)
     val allocated = bean.getCurrentThreadAllocatedBytes - before
-    info(s"${group.paths.size} paths, ${table.size} overlay edges: $allocated B")
+    info(s"${group.paths.size} paths, $m overlay edges: $allocated B")
     assert(allocated < 1024, s"a warm overlay allocated $allocated bytes")
   }
 

@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop}
 import repro.{Oracle, PropSupport, SparkSpec}
 import repro.eval.TableIExample
-import repro.graph.{CompactGraph, LongKeyTable, TestGraphs}
+import repro.graph.{CompactGraph, SearchSpace, TestGraphs}
 import repro.kg.KgIndex
 import repro.rec.ExplanationPath
 
@@ -114,6 +114,15 @@ class WeightAdjustSpec extends SparkSpec with PropSupport {
     }
   }
 
+  /** The overlay [[WeightAdjust.overlayTable]] leaves in `ws`: edge id → weight, in its order. */
+  private def overlayIn(kg: KgIndex, paths: Seq[ExplanationPath], anchors: Int, lambda: Double,
+                        ws: SearchSpace): Seq[(Int, Double)] = {
+    val m = WeightAdjust.overlayTable(kg, paths, anchors, lambda, ws)
+    val edges = ws.ints(WeightAdjust.Edges, m)
+    val weights = ws.doubles(WeightAdjust.Weights, m)
+    (0 until m).map(i => edges(i) -> weights(i))
+  }
+
   test("property: overlayTable and overlay equal the boxed overlay") {
     val gen = for {
       triples <- TestGraphs.randomGraphGen(10)
@@ -127,36 +136,34 @@ class WeightAdjustSpec extends SparkSpec with PropSupport {
       val rnd = new scala.util.Random(seed)
       val paths = randomWalks(g, rnd, rnd.nextInt(6))
       val expected = boxedOverlay(kg, paths, anchors, lambda)
-      val table = WeightAdjust.overlayTable(kg, paths, anchors, lambda, new LongKeyTable(0))
-      val tableMatches = table.size == expected.size() && {
-        var ok = true
-        expected.forEach { (e, w) =>
-          val s = table.find(e.longValue)
-          ok &&= s >= 0 && table.doubleAt(s) == w.doubleValue()
-        }
-        ok
+      val overlay = overlayIn(kg, paths, anchors, lambda, TestGraphs.freshWorkspace(g))
+      val ascending = overlay.map(_._1).sliding(2).forall(p => p.size < 2 || p(0) < p(1))
+      val matches = overlay.size == expected.size() && overlay.forall { case (e, w) =>
+        expected.containsKey(e) && expected.get(e).doubleValue() == w
       }
-      tableMatches && WeightAdjust.overlay(kg, paths, anchors, lambda) == expected
+      ascending && matches && WeightAdjust.overlay(kg, paths, anchors, lambda) == expected
     }, minTests = 100)
   }
 
-  test("property: one table reused over growing, shrinking, growing path sets equals fresh tables") {
-    def sameContents(a: LongKeyTable, b: LongKeyTable): Boolean =
-      a.size == b.size && (0 until b.capacity).filter(b.isOccupied).forall { s =>
-        val t = a.find(b.keyAt(s))
-        t >= 0 && a.doubleAt(t) == b.doubleAt(s) && a.intAt(t) == b.intAt(s)
-      }
+  test("property: one workspace reused over growing, shrinking, growing path sets equals fresh workspaces") {
     checkProp(Prop.forAll(TestGraphs.randomGraphGen(10), Gen.choose(0L, Long.MaxValue)) { (triples, seed) =>
       val g = CompactGraph.fromTriples(triples)
       val kg = new KgIndex(g)
       val rnd = new scala.util.Random(seed)
-      val reused = new LongKeyTable(0)
+      val reused = TestGraphs.freshWorkspace(g)
       Seq(1, 6, 40, 3, 0, 2, 80).forall { count =>
         val paths = randomWalks(g, rnd, count)
         val hops = paths.map(_.length).sum
-        val table = WeightAdjust.overlayTable(kg, paths, anchors = 3, lambda = 2.0, reused)
-        val fresh = WeightAdjust.overlayTable(kg, paths, anchors = 3, lambda = 2.0, new LongKeyTable(0))
-        (table eq reused) && reused.capacity >= 2 * hops && sameContents(reused, fresh)
+        // Between summaries the kernels grow the same numbered buffers, each
+        // to its own size, and leave their contents behind.
+        (0 until SearchSpace.IntBuffers).foreach(b => java.util.Arrays.fill(reused.ints(b, rnd.nextInt(120)), -1))
+        (0 until SearchSpace.DoubleBuffers).foreach(b =>
+          java.util.Arrays.fill(reused.doubles(b, rnd.nextInt(120)), Double.NaN))
+        val inReused = overlayIn(kg, paths, anchors = 3, lambda = 2.0, reused)
+        val inFresh = overlayIn(kg, paths, anchors = 3, lambda = 2.0, TestGraphs.freshWorkspace(g))
+        // Raw bits: a reused buffer must not leave a stale weight or count behind.
+        inReused.size <= hops && inReused.map { case (e, w) => (e, java.lang.Double.doubleToRawLongBits(w)) } ==
+          inFresh.map { case (e, w) => (e, java.lang.Double.doubleToRawLongBits(w)) }
       }
     }, minTests = 50)
   }

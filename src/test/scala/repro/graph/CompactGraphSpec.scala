@@ -144,36 +144,49 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     assert((0 until g.numVertices).forall(v => ws.dist(v) == 0.0))
   }
 
+  /** An Eq. (1) overlay as `fillOverlaidCosts` takes it: ascending edge
+    * ids, their weights, and the count of them.
+    */
+  private final class Overlay(val edges: Array[Int], val weights: Array[Double], val m: Int)
+
+  /** The overlay of `boosted` (edge id → weight, in any order), written
+    * into buffers with `extra` stale entries past its count.
+    */
+  private def overlayOf(boosted: Seq[(Int, Double)], extra: Int = 0): Overlay = {
+    val sorted = boosted.sortBy(_._1)
+    new Overlay((sorted.map(_._1) ++ Seq.fill(extra)(-7)).toArray,
+      (sorted.map(_._2) ++ Seq.fill(extra)(Double.NaN)).toArray, sorted.size)
+  }
+
   /** The Eq. (1) cost oracle as the summarizer ran it per edge before the
     * gather: an overlay lookup, then `(wm − w) + delta`.
     */
-  private def eq1Oracle(g: CompactGraph, wm: Double, overlay: LongKeyTable, delta: Double): EdgeCost =
-    (e: Int) => {
-      val o = overlay.find(e)
-      val w = if (o < 0) g.edgeWeight(e) else overlay.doubleAt(o)
-      (wm - w) + delta
-    }
+  private def eq1Oracle(g: CompactGraph, wm: Double, overlay: Overlay, delta: Double): EdgeCost = {
+    val boosted = (0 until overlay.m).map(i => overlay.edges(i) -> overlay.weights(i)).toMap
+    (e: Int) => (wm - boosted.getOrElse(e, g.edgeWeight(e))) + delta
+  }
 
   /** An Eq. (1) overlay on `g` for λ: each edge is boosted with chance 1/2
     * at the highest-degree vertex and 1/5 elsewhere, by c of `anchors` paths.
     */
-  private def randomOverlay(g: CompactGraph, lambda: Double, rnd: scala.util.Random,
-                            table: LongKeyTable): LongKeyTable = {
+  private def randomOverlay(g: CompactGraph, lambda: Double, rnd: scala.util.Random): Overlay = {
     val hub = (0 until g.numVertices).maxBy(g.degree)
     val anchors = 1 + rnd.nextInt(5)
-    table.reset(g.numEdges)
-    (0 until g.numEdges).foreach { e =>
+    val boosted = (0 until g.numEdges).flatMap { e =>
       val atHub = g.edgeSrc(e) == hub || g.edgeDst(e) == hub
       if (rnd.nextInt(10) < (if (atHub) 5 else 2)) {
         val c = 1 + rnd.nextInt(anchors)
-        table.put(e, g.edgeWeight(e) * (1.0 + lambda * c.toDouble / anchors), c)
-      }
+        Some(e -> g.edgeWeight(e) * (1.0 + lambda * c.toDouble / anchors))
+      } else None
     }
-    table
+    overlayOf(boosted, extra = rnd.nextInt(3))
   }
 
-  private def maxWeight(g: CompactGraph, overlay: LongKeyTable): Double =
-    ((0 until overlay.capacity).filter(overlay.isOccupied).map(overlay.doubleAt) ++ g.edgeWeight).max
+  private def maxWeight(g: CompactGraph, overlay: Overlay): Double =
+    (overlay.weights.take(overlay.m) ++ g.edgeWeight).max
+
+  private def fill(g: CompactGraph, ws: SearchSpace, wm: Double, o: Overlay, delta: Double): Array[Double] =
+    g.fillOverlaidCosts(ws, wm, o.edges, o.weights, o.m, delta)
 
   test("property: Eq. (1) gather and overlay patch equal the oracle fill bit for bit") {
     val gen = for {
@@ -187,11 +200,11 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
       val g = CompactGraph.fromTriples(triples.map { case (a, b, _) => (a, b, 0.1 + 3 * rnd.nextDouble()) })
       val ws = new SearchSpace(g.numVertices)
       // A fill for another overlay first: the second must leave no stale patch.
-      val stale = randomOverlay(g, lambda, rnd, new LongKeyTable(0))
-      g.fillOverlaidCosts(ws, maxWeight(g, stale), stale, 1e-6)
-      val overlay = randomOverlay(g, lambda, rnd, new LongKeyTable(0))
+      val stale = randomOverlay(g, lambda, rnd)
+      fill(g, ws, maxWeight(g, stale), stale, 1e-6)
+      val overlay = randomOverlay(g, lambda, rnd)
       val wm = maxWeight(g, overlay)
-      val gathered = g.fillOverlaidCosts(ws, wm, overlay, 1e-6)
+      val gathered = fill(g, ws, wm, overlay, 1e-6)
       val oracle = g.fillCosts(new SearchSpace(g.numVertices), eq1Oracle(g, wm, overlay, 1e-6))
       (0 until 2 * g.numEdges).forall { a =>
         java.lang.Double.doubleToRawLongBits(gathered(a)) == java.lang.Double.doubleToRawLongBits(oracle(a))
@@ -202,15 +215,13 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
   test("fillOverlaidCosts rejects a NaN or negative cost, naming the edge") {
     val g = diamond
     val ws = new SearchSpace(g.numVertices)
-    val overlay = new LongKeyTable(0)
-    def message(wm: Double, boosted: (Int, Double)*): String = {
-      overlay.reset(boosted.size)
-      boosted.foreach { case (e, w) => overlay.put(e, w, 1) }
-      intercept[IllegalArgumentException](g.fillOverlaidCosts(ws, wm, overlay, 0.0)).getMessage
-    }
+    def message(wm: Double, boosted: (Int, Double)*): String =
+      intercept[IllegalArgumentException](fill(g, ws, wm, overlayOf(boosted, extra = 2), 0.0)).getMessage
     // An overlay weight above wm, or a NaN one, makes that edge's patched cost bad.
     assert(message(2.0, 3 -> 2.5).contains("edge 3 has cost -0.5"))
     assert(message(2.0, 4 -> Double.NaN).contains("edge 4 has cost NaN"))
+    // Two bad overlay edges: the overlay ascends, so the lower id is named.
+    assert(message(2.0, 3 -> 2.5, 1 -> 3.0).contains("edge 1 has cost -1.0"))
     // A NaN wm: every cost is NaN, and arc 0 belongs to edge 0.
     assert(message(Double.NaN).contains("edge 0 has cost NaN"))
     // wm below base weights 2.0: edge 1's arc comes first, unless the overlay
@@ -218,9 +229,7 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     assert(message(1.5).contains("edge 1 has cost -0.5"))
     assert(message(1.5, 1 -> 1.0).contains("edge 2 has cost -0.5"))
     // A legal fill: the diamond's weights under wm 2.0, edge 4 boosted to 1.0.
-    overlay.reset(1)
-    overlay.put(4, 1.0, 1)
-    val costs = g.fillOverlaidCosts(ws, 2.0, overlay, 0.0)
+    val costs = fill(g, ws, 2.0, overlayOf(Seq(4 -> 1.0), extra = 2), 0.0)
     assert((0 until 2 * g.numEdges).forall { a =>
       val e = g.arcEdge(a)
       costs(a) == (if (e == 4) 1.0 else 2.0 - g.edgeWeight(e))

@@ -1,5 +1,6 @@
 package repro.graph
 
+import java.lang.management.ManagementFactory
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.PropSupport
@@ -54,5 +55,61 @@ class IndexSortSpec extends AnyFunSuite with PropSupport {
       val order = IndexSort.byKey(costs, keys.length, new Array[Int](keys.length), new Array[Int](keys.length))
       order.map(p => byKeyValue(keys(p))).toSeq == proposals.sorted(byCost)
     }, minTests = 200)
+  }
+
+  /** The order PCST sorted its terminals in before `byKey`: (vertex, position) packed into a long. */
+  private def packedOrder(vertices: Array[Int]): Array[Int] = {
+    val packed = Array.tabulate(vertices.length)(i => (vertices(i).toLong << 32) | i)
+    java.util.Arrays.sort(packed)
+    packed.map(_.toInt)
+  }
+
+  // A group's terminals: its members' vertices ascending, then their items,
+  // with repeats, drawn from a few values up to Int.MaxValue.
+  private def groupShaped(members: Int, items: Int, rnd: scala.util.Random): Array[Int] = {
+    val pool = Array.fill(1 + rnd.nextInt(12))(rnd.nextInt(Int.MaxValue))
+    (0 until members).map(i => 1000 + 3 * i).toArray ++ Array.fill(items)(pool(rnd.nextInt(pool.length)))
+  }
+
+  test("property: byKey on integer keys with ties gives the packed (vertex, position) sort order") {
+    val vertices: Gen[Array[Int]] = Gen.oneOf(
+      Gen.const(Array.emptyIntArray),
+      Gen.choose(0, Int.MaxValue).map(Array(_)),
+      Gen.listOf(Gen.choose(0, 6)).map(_.toArray),
+      for (members <- Gen.choose(16, 60); items <- Gen.choose(0, 80); seed <- Gen.choose(0L, Long.MaxValue))
+        yield groupShaped(members, items, new scala.util.Random(seed)))
+    checkProp(Prop.forAll(vertices) { vs =>
+      val keys = vs.map(_.toDouble)
+      val order = IndexSort.byKey(keys, vs.length, new Array[Int](vs.length), new Array[Int](vs.length))
+      order.take(vs.length).sameElements(packedOrder(vs))
+    }, minTests = 200)
+  }
+
+  test("a warm byKey allocates 0 B on a group's terminals, where the JDK's long[] sort allocates a run array") {
+    val vs = groupShaped(members = 20, items = 41, new scala.util.Random(5))
+    val n = vs.length
+    val keys = vs.map(_.toDouble)
+    val (perm, buf) = (new Array[Int](n), new Array[Int](n))
+    val template = Array.tabulate(n)(i => (vs(i).toLong << 32) | i)
+    val packed = new Array[Long](n)
+    val bean = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    var byKey = Long.MaxValue
+    var jdk = Long.MaxValue
+    var call = 0
+    while (call < 12) {
+      var before = bean.getCurrentThreadAllocatedBytes
+      IndexSort.byKey(keys, n, perm, buf)
+      val sorted = bean.getCurrentThreadAllocatedBytes - before
+      System.arraycopy(template, 0, packed, 0, n)
+      before = bean.getCurrentThreadAllocatedBytes
+      java.util.Arrays.sort(packed, 0, n)
+      val jdkSorted = bean.getCurrentThreadAllocatedBytes - before
+      if (call >= 2) { byKey = math.min(byKey, sorted); jdk = math.min(jdk, jdkSorted) } // two warm-up calls
+      call += 1
+    }
+    info(s"$n terminals, first run 20: byKey $byKey B, Arrays.sort(long[]) $jdk B (least of 10 calls)")
+    assert(byKey == 0, s"a warm byKey allocated $byKey bytes")
+    // The control: the probe sees an allocation where there is one.
+    assert(jdk > 0, s"Arrays.sort(long[]) allocated $jdk bytes on a group-shaped input")
   }
 }

@@ -5,6 +5,9 @@ import org.scalacheck.Gen
 /** Shared graph fixtures and reference algorithms for property tests. */
 object TestGraphs {
 
+  /** A workspace for `g` that no thread has used. */
+  def freshWorkspace(g: CompactGraph): SearchSpace = new SearchSpace(g.numVertices)
+
   /** Floyd–Warshall all-pairs shortest paths over the undirected view —
     * the brute-force reference for Dijkstra.
     */
