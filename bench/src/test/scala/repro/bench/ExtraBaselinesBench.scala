@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.eval.Harness
-import repro.kg.{KGBuilder, KgIndex, MLSynth}
+import repro.kg.{KGBuilder, MLSynth}
 import repro.rec.{Pearlm, Plm}
 
 /** Figures 12–13: the language-model baselines PLM and PEARLM (PLMR) on
@@ -14,34 +14,9 @@ import repro.rec.{Pearlm, Plm}
   */
 class ExtraBaselinesBench extends BenchSupport {
 
-  private lazy val kg = KGBuilder.build(spark, MLSynth.ml1m(spark, benchScale))
-  private lazy val idx = KgIndex.fromKGraph(kg)
-
-  private lazy val cfg = Harness.Config(
-    kSet = Seq(1, 3, 5, 10), usersPerGender = 15, itemsHalf = 10,
-    spreadUserPool = 200, groupSize = 10, itemGroupSize = 10)
-
   test("Figures 12-13: PLM and PEARLM comprehensibility and diversity") {
-    Seq(new Plm, new Pearlm).foreach { rec =>
-      val out = Harness.run(spark, kg, idx, rec, cfg)
-      Seq("user-centric", "user-group").foreach { fam =>
-        Seq("paths", "st(λ=1.0)", "pcst").foreach { method =>
-          val rows = out.rows.filter(r => r.family == fam && r.method == method && r.k == 10)
-          if (rows.nonEmpty) {
-            result("fig12-13", f"rec=${rec.name} family=$fam method=$method k=10 " +
-              f"compr=${mean(rows.map(_.comprehensibility))}%.4f " +
-              f"div=${mean(rows.map(_.diversity))}%.3f n=${rows.size}")
-          }
-        }
-      }
-      def m(fam: String, method: String, f: Harness.MetricRow => Double): Double =
-        mean(out.rows.filter(r => r.family == fam && r.method == method && r.k == 10).map(f))
-      // Fig 12 shape: ST improves comprehensibility over the LM baseline.
-      assert(m("user-centric", "st(λ=1.0)", _.comprehensibility) >
-        m("user-centric", "paths", _.comprehensibility), s"${rec.name} comprehensibility")
-      // Fig 13 shape: PCST diversity at least matches the LM baseline's.
-      assert(m("user-centric", "pcst", _.diversity) >=
-        m("user-centric", "paths", _.diversity) - 0.05, s"${rec.name} diversity")
-    }
+    comprehensibilityAndDiversity("fig12-13", KGBuilder.build(spark, MLSynth.ml1m(spark, benchScale)),
+      Seq(new Plm, new Pearlm), Harness.Config(kSet = Seq(1, 3, 5, 10), usersPerGender = 15,
+        itemsHalf = 10, spreadUserPool = 200, groupSize = 10, itemGroupSize = 10))
   }
 }

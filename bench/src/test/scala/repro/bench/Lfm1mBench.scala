@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.eval.Harness
-import repro.kg.{KGBuilder, KgIndex, MLSynth}
+import repro.kg.{KGBuilder, MLSynth}
 import repro.rec.{Cafe, Pgpr}
 
 /** Figures 14–15: the LFM1M validation — comprehensibility and diversity
@@ -12,31 +12,9 @@ import repro.rec.{Cafe, Pgpr}
   */
 class Lfm1mBench extends BenchSupport {
 
-  private lazy val kg = KGBuilder.build(spark, MLSynth.lfm1m(spark, benchScale))
-  private lazy val idx = KgIndex.fromKGraph(kg)
-
-  private lazy val cfg = Harness.Config(
-    kSet = Seq(1, 5, 10), usersPerGender = 12, itemsHalf = 10,
-    spreadUserPool = 200, groupSize = 10, itemGroupSize = 10)
-
   test("Figures 14-15: LFM1M comprehensibility and diversity") {
-    Seq(new Pgpr, new Cafe).foreach { rec =>
-      val out = Harness.run(spark, kg, idx, rec, cfg)
-      Seq("user-centric", "user-group").foreach { fam =>
-        Seq("paths", "st(λ=1.0)", "pcst").foreach { method =>
-          val rows = out.rows.filter(r => r.family == fam && r.method == method && r.k == 10)
-          if (rows.nonEmpty)
-            result("fig14-15", f"rec=${rec.name} family=$fam method=$method k=10 " +
-              f"compr=${mean(rows.map(_.comprehensibility))}%.4f " +
-              f"div=${mean(rows.map(_.diversity))}%.3f n=${rows.size}")
-        }
-      }
-      def m(method: String, f: Harness.MetricRow => Double): Double =
-        mean(out.rows.filter(r => r.family == "user-centric" && r.method == method && r.k == 10).map(f))
-      assert(m("st(λ=1.0)", _.comprehensibility) > m("paths", _.comprehensibility),
-        s"${rec.name}: LFM1M ST comprehensibility")
-      assert(m("pcst", _.diversity) >= m("paths", _.diversity) - 0.05,
-        s"${rec.name}: LFM1M PCST diversity")
-    }
+    comprehensibilityAndDiversity("fig14-15", KGBuilder.build(spark, MLSynth.lfm1m(spark, benchScale)),
+      Seq(new Pgpr, new Cafe), Harness.Config(kSet = Seq(1, 5, 10), usersPerGender = 12,
+        itemsHalf = 10, spreadUserPool = 200, groupSize = 10, itemGroupSize = 10))
   }
 }

@@ -2,6 +2,7 @@ package repro.bench
 
 import org.apache.spark.sql.functions._
 import repro.eval.Harness
+import repro.jobs.MetricsJob
 import repro.kg.{KGBuilder, KgIndex, MLSynth}
 import repro.rec.{Cafe, Pgpr}
 
@@ -35,21 +36,15 @@ class MetricsBench extends BenchSupport {
 
   test("Figures 2-8: metric sweep for PGPR and CAFE on ML1M-sim") {
     outputs.foreach { case (rec, out) =>
-      val df = out.rowsDF(spark).groupBy("family", "method", "k")
-        .agg(avg("comprehensibility") as "compr", avg("actionability") as "action",
-          avg("diversity") as "div", avg("redundancy") as "redund",
-          avg("relevance") as "relev", avg("privacy") as "priv",
-          avg("timeMs") as "ms", avg("edges") as "edges", count(lit(1)) as "n")
-        .orderBy("family", "method", "k")
-      df.collect().foreach { r =>
-        result("fig2-8", f"rec=$rec family=${r.getString(0)} method=${r.getString(1)} k=${r.getInt(2)} " +
-          f"compr=${r.getDouble(3)}%.4f action=${r.getDouble(4)}%.3f div=${r.getDouble(5)}%.3f " +
-          f"redund=${r.getDouble(6)}%.3f relev=${r.getDouble(7)}%.1f priv=${r.getDouble(8)}%.3f " +
-          f"ms=${r.getDouble(9)}%.1f edges=${r.getDouble(10)}%.1f n=${r.getLong(11)}")
+      MetricsJob.aggregate(out.rowsDF(spark)).collect().foreach { r =>
+        def d(c: String) = r.getAs[Double](c)
+        result("fig2-8", f"rec=$rec family=${r.getAs[String]("family")} method=${r.getAs[String]("method")} " +
+          f"k=${r.getAs[Int]("k")} compr=${d("compr")}%.4f action=${d("action")}%.3f div=${d("div")}%.3f " +
+          f"redund=${d("redund")}%.3f relev=${d("relev")}%.1f priv=${d("priv")}%.3f " +
+          f"ms=${d("ms")}%.1f edges=${d("edges")}%.1f n=${r.getAs[Long]("n")}")
       }
-      val cons = out.consistencyDF(spark).groupBy("family", "method")
-        .agg(avg("consistency") as "cons").orderBy("family", "method")
-      cons.collect().foreach { r =>
+      out.consistencyDF(spark).groupBy("family", "method").agg(avg("consistency") as "cons")
+        .orderBy("family", "method").collect().foreach { r =>
         result("fig6", f"rec=$rec family=${r.getString(0)} method=${r.getString(1)} " +
           f"consistency=${r.getDouble(2)}%.3f")
       }
@@ -57,32 +52,29 @@ class MetricsBench extends BenchSupport {
 
     // Shape assertions over the k=10 user-centric aggregate for each rec.
     outputs.foreach { case (rec, out) =>
-      def m(family: String, method: String, f: Harness.MetricRow => Double): Double =
-        mean(out.rows.filter(r => r.family == family && r.method == method && r.k == 10).map(f))
-
       // Fig 2: ST more comprehensible than baselines in every family.
       Seq("user-centric", "user-group", "item-group").foreach { fam =>
-        assert(m(fam, "st(λ=1.0)", _.comprehensibility) > m(fam, "paths", _.comprehensibility),
-          s"$rec/$fam comprehensibility")
+        assert(meanAtK10(out, fam, "st(λ=1.0)", _.comprehensibility) >
+          meanAtK10(out, fam, "paths", _.comprehensibility), s"$rec/$fam comprehensibility")
       }
       // Fig 4: PCST most diverse. CAFE-sim paths are already near the
       // diversity ceiling (distinct entity mid-nodes per path), so allow a
       // 1% tie there; the ordering is strict for PGPR.
-      assert(m("user-centric", "pcst", _.diversity) >=
-        m("user-centric", "paths", _.diversity) - 0.01, s"$rec diversity pcst vs paths")
+      assert(meanAtK10(out, "user-centric", "pcst", _.diversity) >=
+        meanAtK10(out, "user-centric", "paths", _.diversity) - 0.01, s"$rec diversity pcst vs paths")
       // Fig 5: baselines most redundant.
-      assert(m("user-centric", "paths", _.redundancy) > m("user-centric", "st(λ=1.0)", _.redundancy),
-        s"$rec redundancy")
+      assert(meanAtK10(out, "user-centric", "paths", _.redundancy) >
+        meanAtK10(out, "user-centric", "st(λ=1.0)", _.redundancy), s"$rec redundancy")
       // Fig 8: PCST more private than ST.
-      assert(m("user-centric", "pcst", _.privacy) >= m("user-centric", "st(λ=1.0)", _.privacy),
-        s"$rec privacy")
+      assert(meanAtK10(out, "user-centric", "pcst", _.privacy) >=
+        meanAtK10(out, "user-centric", "st(λ=1.0)", _.privacy), s"$rec privacy")
       // Fig 7: the paper reports ST relevance growing with λ; in our
       // substrate the effect is flat-to-slightly-negative because λ = 100
       // also yields *smaller* trees and relevance is an extensive total —
       // assert the two ends stay within 25% (deviation documented in
       // EXPERIMENTS.md).
-      assert(m("user-centric", "st(λ=100.0)", _.relevance) >=
-        0.75 * m("user-centric", "st(λ=0.01)", _.relevance), s"$rec relevance by lambda")
+      assert(meanAtK10(out, "user-centric", "st(λ=100.0)", _.relevance) >=
+        0.75 * meanAtK10(out, "user-centric", "st(λ=0.01)", _.relevance), s"$rec relevance by lambda")
     }
   }
 

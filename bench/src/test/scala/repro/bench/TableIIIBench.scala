@@ -1,13 +1,11 @@
 package repro.bench
 
-import repro.core.Summarizer
-import repro.eval.Scalability
-import repro.graph.GraphStats
-import repro.kg.{KGBuilder, KgIndex, MLSynth, NodeIds}
+import repro.jobs.TableIIIJob
 
 /** Paper Table III + Fig 11: the five synthetic random graphs
   * (10k–30k nodes, ML1M-like composition) and the runtime of ST vs PCST
-  * on them (k = 10 items; user groups; random 3-hop paths).
+  * on them (k = 10 items; user groups; random 3-hop paths), as
+  * `TableIIIJob.run` measures them.
   *
   * Defaults run three of the five graphs and a group of
   * REPRO_TABLE3_GROUP (default 15) users to bound CI time; set
@@ -29,41 +27,24 @@ class TableIIIBench extends BenchSupport {
     30000 -> (9131, 5870, 16357, 1_679_202L))
 
   test("Table III: synthetic graph statistics and Fig 11 scalability") {
-    val rows = sizes.zipWithIndex.map { case (n, gi) =>
-      val kg = KGBuilder.build(spark, MLSynth.synthetic(spark, n, seed = 13L + gi))
-      val stats = GraphStats.compute(kg, sampleSources = 6)
-      val kgIdx = KgIndex.fromKGraph(kg)
-
-      val users = (1 to math.max(groupSize, 20)).map(u => NodeIds.user(u.toLong))
-      val paths = Scalability.randomPaths(spark, kgIdx, users, k = 10, seed = 5L)
-      val scens = Scalability.kScenarios(paths, paths.keys.min, Seq(10)) ++
-        Scalability.groupScenarios(paths, Seq(math.min(groupSize, paths.size)), k = 10)
-      val perf = Scalability.measure(kgIdx, scens,
-        Seq(Summarizer.ST(1.0), Summarizer.PCST()))
-      def t(fam: String, m: String): Double =
-        perf.find(r => r.family == fam && r.method.startsWith(m)).map(_.timeMs).getOrElse(-1)
-
+    val rows = TableIIIJob.run(spark, sizes, groupSize)
+    sizes.zip(rows).foreach { case (n, TableIIIJob.Row(stats, stUc, pcstUc, stGrp, pcstGrp, _)) =>
       val (pu, pi, pe, pEdges) = paper.getOrElse(n, (0, 0, 0, 0L))
       result("table3", s"graph=$n users=${stats.nUsers} (paper $pu) items=${stats.nItems} (paper $pi) " +
         s"external=${stats.nExternal} (paper $pe) edges=${stats.totalEdges} (paper $pEdges)")
-      result("fig11", f"graph=$n st_uc=${t("user-centric", "st")}%.1fms pcst_uc=${t("user-centric", "pcst")}%.1fms " +
-        f"st_grp=${t("user-group", "st")}%.1fms pcst_grp=${t("user-group", "pcst")}%.1fms group=$groupSize")
-
-      (n, stats, t("user-centric", "st"), t("user-centric", "pcst"),
-        t("user-group", "st"), t("user-group", "pcst"))
+      result("fig11", f"graph=$n st_uc=$stUc%.1fms pcst_uc=$pcstUc%.1fms " +
+        f"st_grp=$stGrp%.1fms pcst_grp=$pcstGrp%.1fms group=$groupSize")
     }
-
     // Table III shape: node-type ratios and edge volume track the paper.
-    rows.foreach { case (n, stats, _, _, _, _) =>
-      val (pu, pi, pe, pEdges) = paper(n)
+    sizes.zip(rows.map(_.stats)).foreach { case (n, stats) =>
+      val (pu, pi, _, pEdges) = paper(n)
       assert(math.abs(stats.nUsers - pu) <= 2 && math.abs(stats.nItems - pi) <= 2)
       assert(stats.totalEdges > pEdges * 0.7 && stats.totalEdges <= pEdges)
     }
     // Fig 11 shape: runtimes grow with graph size; ST-group dominates
     // PCST-group (ST pays |T| SSSPs, PCST one Voronoi pass).
-    val first = rows.head; val last = rows.last
-    assert(last._5 > first._5 * 0.5, "ST group runtime should not shrink with graph size")
-    assert(mean(rows.map(_._5)) > mean(rows.map(_._6)),
+    assert(rows.last.stGroupMs > rows.head.stGroupMs * 0.5, "ST group runtime should not shrink with graph size")
+    assert(mean(rows.map(_.stGroupMs)) > mean(rows.map(_.pcstGroupMs)),
       "ST user-group should be slower than PCST user-group on average")
   }
 }

@@ -1,9 +1,9 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.eval.Harness
-import repro.kg.{KGBuilder, KgIndex, MLSynth}
+import repro.kg.{DatasetTables, KGBuilder, KgIndex, MLSynth}
 import repro.rec.PathRecommender
 
 /** Runs the §V metric sweep (Figs 2–8 / 12–15): every recommender ×
@@ -13,28 +13,47 @@ import repro.rec.PathRecommender
   * Run: spark-submit --class repro.jobs.MetricsJob <jar> ml1m 0.2 pgpr,cafe
   */
 object MetricsJob {
-  def main(args: Array[String]): Unit = {
+  val Datasets: Map[String, (SparkSession, Double) => DatasetTables] =
+    Map("ml1m" -> (MLSynth.ml1m(_, _)), "lfm1m" -> (MLSynth.lfm1m(_, _)))
+
+  final case class Args(dataset: String, scale: Double, recommenders: Seq[PathRecommender])
+
+  /** The command line, checked on the driver: an unknown dataset or
+    * recommender throws an `IllegalArgumentException` that names it and
+    * lists the valid ones.
+    */
+  def parseArgs(args: Array[String]): Args = {
     val dataset = args.headOption.getOrElse("ml1m")
-    val scale = args.lift(1).map(_.toDouble).getOrElse(0.2)
-    val recNames = args.lift(2).map(_.split(",").toSeq).getOrElse(Seq("pgpr", "cafe"))
+    require(Datasets.contains(dataset),
+      s"MetricsJob: unknown dataset '$dataset'; valid: ${Datasets.keys.mkString(", ")}")
+    val recs = PathRecommender.baselines
+    val names = args.lift(2).fold(Seq("pgpr", "cafe"))(_.split(",").map(_.trim).toSeq)
+    names.foreach(n => require(recs.exists(_.name == n),
+      s"MetricsJob: unknown recommender '$n'; valid: ${recs.map(_.name).mkString(", ")}"))
+    Args(dataset, args.lift(1).fold(0.2)(_.toDouble), recs.filter(r => names.contains(r.name)))
+  }
+
+  def main(args: Array[String]): Unit = {
+    val a = parseArgs(args)
     val spark = SparkSession.builder.appName("metrics").getOrCreate()
     try {
-      val tables = if (dataset == "lfm1m") MLSynth.lfm1m(spark, scale) else MLSynth.ml1m(spark, scale)
-      val kg = KGBuilder.build(spark, tables)
+      val kg = KGBuilder.build(spark, Datasets(a.dataset)(spark, a.scale))
       val kgIdx = KgIndex.fromKGraph(kg)
-      val recs = PathRecommender.baselines.filter(r => recNames.contains(r.name))
       val cfg = Harness.Config(usersPerGender = 40, itemsHalf = 25, spreadUserPool = 400)
-      recs.foreach { rec =>
-        val out = Harness.run(spark, kg, kgIdx, rec, cfg)
-        out.rowsDF(spark)
-          .groupBy("recommender", "family", "method", "k")
-          .agg(avg("comprehensibility") as "compr", avg("actionability") as "action",
-               avg("diversity") as "div", avg("redundancy") as "redund",
-               avg("relevance") as "relev", avg("privacy") as "priv",
-               avg("timeMs") as "ms", avg("edges") as "edges")
-          .orderBy("recommender", "family", "method", "k")
-          .show(1000, truncate = false)
+      a.recommenders.foreach { rec =>
+        aggregate(Harness.run(spark, kg, kgIdx, rec, cfg).rowsDF(spark)).show(1000, truncate = false)
       }
     } finally spark.stop()
   }
+
+  /** Mean of every metric, time and edge count over `Harness.MetricRow`s per
+    * (recommender, family, method, k), with the row count `n`, in key order.
+    */
+  def aggregate(rows: DataFrame): DataFrame =
+    rows.groupBy("recommender", "family", "method", "k")
+      .agg(avg("comprehensibility") as "compr", avg("actionability") as "action",
+           avg("diversity") as "div", avg("redundancy") as "redund",
+           avg("relevance") as "relev", avg("privacy") as "priv",
+           avg("timeMs") as "ms", avg("edges") as "edges", count(lit(1)) as "n")
+      .orderBy("recommender", "family", "method", "k")
 }

@@ -1,6 +1,7 @@
 package repro.core
 
-import repro.eval.TableIExample
+import repro.eval.{Harness, TableIExample}
+import repro.jobs.MetricsJob
 import repro.kg.{KgIndex, NodeIds}
 import repro.{Oracle, SparkSpec}
 
@@ -116,20 +117,31 @@ class MetricsSpec extends SparkSpec {
 
   test("oracle: metric aggregation over rows matches DuckDB") {
     import spark.implicits._
-    val rows = Seq(
-      ("st", 1, 0.5, 0.2), ("st", 2, 0.25, 0.4),
-      ("pcst", 1, 0.125, 0.6), ("pcst", 2, 0.1, 0.8),
-    ).toDF("method", "k", "comprehensibility", "diversity")
-    val agg = rows.groupBy("method")
-      .agg(org.apache.spark.sql.functions.round(
-        org.apache.spark.sql.functions.avg("comprehensibility"), 6).as("c"),
-        org.apache.spark.sql.functions.round(
-          org.apache.spark.sql.functions.avg("diversity"), 6).as("d"))
+    // 2 recommenders × 2 families × 2 methods × 2 k, one to three rows each.
+    val rows = (for {
+      (rec, ri) <- Seq("pgpr", "cafe").zipWithIndex
+      (fam, fi) <- Seq("user-centric", "user-group").zipWithIndex
+      (method, mi) <- Seq("paths", "pcst").zipWithIndex
+      k <- Seq(1, 10)
+      s <- 0 to (ri + fi + mi + k) % 3
+    } yield {
+      val v = 1.0 + ri + 2 * fi + 3 * mi + k + 0.5 * s
+      Harness.MetricRow(rec, fam, s"sc$s", method, k, comprehensibility = 1 / v, actionability = 1 / (v + 1),
+        diversity = 1 / (v + 2), redundancy = 1 / (v + 3), relevance = 10 * v, privacy = 1 / (v + 4),
+        edges = s + k, nodes = s + k + 1, timeMs = v / 3, memMb = 0.0)
+    }).toDF()
+    val agg = MetricsJob.aggregate(rows)
     Oracle.assertEquivalent(agg,
-      """SELECT method, ROUND(AVG(CAST(comprehensibility AS DOUBLE)), 6) AS c,
-        |       ROUND(AVG(CAST(diversity AS DOUBLE)), 6) AS d
-        |FROM rows GROUP BY method""".stripMargin,
+      """SELECT recommender, family, method, CAST(k AS INTEGER) AS k,
+        |       AVG(CAST(comprehensibility AS DOUBLE)) AS compr, AVG(CAST(actionability AS DOUBLE)) AS action,
+        |       AVG(CAST(diversity AS DOUBLE)) AS div, AVG(CAST(redundancy AS DOUBLE)) AS redund,
+        |       AVG(CAST(relevance AS DOUBLE)) AS relev, AVG(CAST(privacy AS DOUBLE)) AS priv,
+        |       AVG(CAST(timeMs AS DOUBLE)) AS ms, AVG(CAST(edges AS DOUBLE)) AS edges, COUNT(*) AS n
+        |FROM rows GROUP BY recommender, family, method, CAST(k AS INTEGER)""".stripMargin,
       "rows" -> rows)
+    // The aggregate comes back in key order, one row per (recommender, family, method, k).
+    val keys = agg.collect().map(r => (r.getString(0), r.getString(1), r.getString(2), r.getInt(3))).toSeq
+    assert(keys.size == 16 && keys == keys.sorted)
   }
 }
 

@@ -3,7 +3,7 @@ package repro.jobs
 import org.apache.spark.DriverProbe
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.SpanSugar._
-import repro.SparkSpec
+import repro.{SparkActivity, SparkSpec}
 import repro.core.Summarizer
 import repro.eval.Scalability
 import repro.graph.GraphStats
@@ -26,6 +26,35 @@ class JobsSpec extends SparkSpec {
     rows.foreach { case (_, _, c, d) =>
       assert(c >= 0 && c <= 1 && d >= 0 && d <= 1)
     }
+  }
+
+  test("TableIIIJob.run gives one row per graph with its GraphStats node counts and four timings") {
+    val Seq(row) = TableIIIJob.run(spark, Seq(1200), groupSize = 4)
+    val stats = GraphStats.compute(KGBuilder.build(spark, MLSynth.synthetic(spark, 1200, seed = 13L)), sampleSources = 6)
+    assert((row.stats.nUsers, row.stats.nItems, row.stats.nExternal, row.stats.nNodes) ==
+      (stats.nUsers, stats.nItems, stats.nExternal, stats.nNodes))
+    assert(row.group == 4)
+    Seq(row.stUserCentricMs, row.pcstUserCentricMs, row.stGroupMs, row.pcstGroupMs).foreach(t => assert(t >= 0))
+  }
+
+  test("TableIIIJob.run rejects an empty sizes or a group below 1 before building any graph") {
+    val (e, activity) = SparkActivity.during(spark.sparkContext) {
+      intercept[IllegalArgumentException](TableIIIJob.run(spark, Seq(1200), groupSize = 0))
+    }
+    assert(e.getMessage.contains("groupSize") && e.getMessage.contains("got 0"), e.getMessage)
+    assert(activity.jobs == 0)
+    val empty = intercept[IllegalArgumentException](TableIIIJob.run(spark, Nil, groupSize = 4))
+    assert(empty.getMessage.contains("sizes"), empty.getMessage)
+  }
+
+  test("MetricsJob.parseArgs rejects an unknown dataset or recommender and names the valid ones") {
+    val d = intercept[IllegalArgumentException](MetricsJob.parseArgs(Array("ml1n")))
+    assert(d.getMessage.contains("'ml1n'") && d.getMessage.contains("ml1m, lfm1m"), d.getMessage)
+    val r = intercept[IllegalArgumentException](MetricsJob.parseArgs(Array("lfm1m", "0.1", "pgpr,pgrp")))
+    assert(r.getMessage.contains("'pgrp'") && r.getMessage.contains("pgpr, cafe, plm, pearlm"), r.getMessage)
+    val defaults = MetricsJob.parseArgs(Array.empty)
+    assert((defaults.dataset, defaults.scale, defaults.recommenders.map(_.name)) == ("ml1m", 0.2, Seq("pgpr", "cafe")))
+    assert(MetricsJob.parseArgs(Array("lfm1m", "0.1", "pearlm")).recommenders.map(_.name) == Seq("pearlm"))
   }
 
   test("Scalability: group scenarios grow with the group size") {
