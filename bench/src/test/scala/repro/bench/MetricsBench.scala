@@ -1,6 +1,5 @@
 package repro.bench
 
-import org.apache.spark.sql.functions._
 import repro.eval.Harness
 import repro.jobs.MetricsJob
 import repro.kg.{KGBuilder, KgIndex, MLSynth}
@@ -43,10 +42,9 @@ class MetricsBench extends BenchSupport {
           f"redund=${d("redund")}%.3f relev=${d("relev")}%.1f priv=${d("priv")}%.3f " +
           f"ms=${d("ms")}%.1f edges=${d("edges")}%.1f n=${r.getAs[Long]("n")}")
       }
-      out.consistencyDF(spark).groupBy("family", "method").agg(avg("consistency") as "cons")
-        .orderBy("family", "method").collect().foreach { r =>
-        result("fig6", f"rec=$rec family=${r.getString(0)} method=${r.getString(1)} " +
-          f"consistency=${r.getDouble(2)}%.3f")
+      MetricsJob.meanConsistency(out.consistencyDF(spark)).collect().foreach { r =>
+        result("fig6", f"rec=$rec family=${r.getAs[String]("family")} method=${r.getAs[String]("method")} " +
+          f"consistency=${r.getAs[Double]("cons")}%.3f")
       }
     }
 

@@ -3,7 +3,7 @@ package repro.bench
 import repro.core.Summarizer
 import repro.eval.Scalability
 import repro.kg.{KGBuilder, KgIndex, MLSynth}
-import repro.rec.{PathRecommender, Pgpr}
+import repro.rec.Pgpr
 
 /** Figures 9–10: runtime/memory of ST vs PCST as k grows (user-centric)
   * and as the user-group size grows on the ML1M-sim graph.
@@ -16,13 +16,8 @@ class ScalabilityBench extends BenchSupport {
   private lazy val idx = KgIndex.fromKGraph(
     KGBuilder.build(spark, MLSynth.ml1m(spark, benchScale)))
 
-  private lazy val topPaths = {
-    val users = repro.eval.Sampling.spreadUsers(
-      (idx.graph.ids.count(repro.kg.NodeIds.isUser)), 120)
-    val idxB = spark.sparkContext.broadcast(idx)
-    try PathRecommender.recommendBatch(spark.sparkContext, idxB, new Pgpr, users, 10, seed = 17L)
-    finally idxB.destroy()
-  }
+  private lazy val topPaths = Scalability.recommendedPaths(spark, idx, new Pgpr,
+    repro.eval.Sampling.spreadUsers(idx.graph.ids.count(repro.kg.NodeIds.isUser), 120), k = 10, seed = 17L)
 
   test("Fig 9: runtime vs k — ST grows faster than PCST") {
     val user = topPaths.filter(_._2.size == 10).keys.min

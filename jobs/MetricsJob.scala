@@ -7,7 +7,8 @@ import repro.kg.{DatasetTables, KGBuilder, KgIndex, MLSynth}
 import repro.rec.PathRecommender
 
 /** Runs the §V metric sweep (Figs 2–8 / 12–15): every recommender ×
-  * scenario family × method × k, averaged. Args: [dataset=ml1m|lfm1m]
+  * scenario family × method × k, averaged, and Fig 6's cross-k
+  * consistency per family × method. Args: [dataset=ml1m|lfm1m]
   * [scale] [recommenders=pgpr,cafe,...].
   *
   * Run: spark-submit --class repro.jobs.MetricsJob <jar> ml1m 0.2 pgpr,cafe
@@ -41,7 +42,9 @@ object MetricsJob {
       val kgIdx = KgIndex.fromKGraph(kg)
       val cfg = Harness.Config(usersPerGender = 40, itemsHalf = 25, spreadUserPool = 400)
       a.recommenders.foreach { rec =>
-        aggregate(Harness.run(spark, kg, kgIdx, rec, cfg).rowsDF(spark)).show(1000, truncate = false)
+        val out = Harness.run(spark, kg, kgIdx, rec, cfg)
+        aggregate(out.rowsDF(spark)).show(1000, truncate = false)
+        meanConsistency(out.consistencyDF(spark)).show(1000, truncate = false)
       }
     } finally spark.stop()
   }
@@ -56,4 +59,12 @@ object MetricsJob {
            avg("relevance") as "relev", avg("privacy") as "priv",
            avg("timeMs") as "ms", avg("edges") as "edges", count(lit(1)) as "n")
       .orderBy("recommender", "family", "method", "k")
+
+  /** Fig 6: the mean consistency over `Harness.ConsistencyRow`s per
+    * (recommender, family, method), with the row count `n`, in key order.
+    */
+  def meanConsistency(rows: DataFrame): DataFrame =
+    rows.groupBy("recommender", "family", "method")
+      .agg(avg("consistency") as "cons", count(lit(1)) as "n")
+      .orderBy("recommender", "family", "method")
 }

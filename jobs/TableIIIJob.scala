@@ -5,6 +5,7 @@ import repro.core.Summarizer
 import repro.eval.Scalability
 import repro.graph.GraphStats
 import repro.kg.{KGBuilder, KgIndex, MLSynth, NodeIds}
+import repro.rec.Pearlm
 
 /** Reproduces paper Table III (synthetic graph statistics) and the Fig 11
   * scalability experiment on those graphs: k = 10 recommended items,
@@ -48,7 +49,7 @@ object TableIIIJob {
       val stats = GraphStats.compute(kg, sampleSources = 6)
       val kgIdx = KgIndex.fromKGraph(kg)
       val users = (1 to math.max(groupSize, 20)).map(u => NodeIds.user(u.toLong))
-      val paths = Scalability.randomPaths(spark, kgIdx, users, k = 10, seed = 5L)
+      val paths = Scalability.recommendedPaths(spark, kgIdx, new Pearlm, users, k = 10, seed = 5L)
       val group = math.min(groupSize, paths.size)
       val scens = Scalability.kScenarios(paths, paths.keys.min, Seq(10)) ++
         Scalability.groupScenarios(paths, Seq(group), k = 10)

@@ -55,11 +55,12 @@ object Summarizer {
     * It charges ST |T|·|V|·12 bytes, as if each of its |T| SSSPs kept its
     * own state, and PCST's single Voronoi pass |V|·16 bytes; that formula
     * is unchanged. The kernels in fact reuse one search space per thread,
-    * which holds the Θ(|V|) search state and vertex marks and the kernels'
-    * scratch: ST's Θ(|T|²) metric closure with its paths lives there,
-    * grown to the largest summary the thread has run. So do the Θ(|E|)
-    * cost buffer (one double per arc) and PCST's proposal triangle (one
-    * int per terminal pair, at least |E| of them). ST's Eq. (1) overlay is
+    * whatever graphs it serves, which holds the Θ(|V|) search state and
+    * vertex marks and the kernels' scratch: ST's Θ(|T|²) metric closure
+    * with its paths lives there, grown to the largest summary the thread
+    * has run. So do, grown to the largest graph, the Θ(|E|) cost buffer
+    * (one double per arc) and PCST's proposal triangle (one int per
+    * terminal pair, at least |E| of them). ST's Eq. (1) overlay is
     * written into the numbered scratch buffers before its kernel runs; ST
     * fills the cost buffer once per summary, by a gather of the base costs
     * and a patch of the overlay edges' arcs

@@ -3,7 +3,7 @@ package repro.eval
 import org.apache.spark.sql.SparkSession
 import repro.core.{Scenario, Summarizer, UserCentric, UserGroup}
 import repro.kg.KgIndex
-import repro.rec.{ExplanationPath, PathRecommender, Pearlm}
+import repro.rec.{ExplanationPath, PathRecommender}
 
 /** The performance experiments: Figs 9–10 (runtime/memory vs k and group
   * size on ML1M) and Fig 11 / Table III (runtime vs graph size on the
@@ -16,14 +16,16 @@ object Scalability {
                            groupSize: Int, k: Int, terminals: Int,
                            timeMs: Double, memMb: Double, edges: Int)
 
-  /** Synthetic "random 3-hop path" generator of the Table III experiment:
-    * a valid-KG random walk u → rated item → co-node → item, which is the
-    * PEARLM sampler with uniform hops (see DESIGN.md §2).
+  /** The top-`k` explanation paths of `rec` for each of `users` that gets
+    * any, computed on executors over a broadcast of `kgIdx` that is
+    * destroyed before returning. Figs 9–10 run it with PGPR; Table III and
+    * Fig 11 with PEARLM, whose sampler with uniform hops is the paper's
+    * "random 3-hop paths" u → rated item → co-node → item (DESIGN.md §2).
     */
-  def randomPaths(spark: SparkSession, kgIdx: KgIndex, users: Seq[Long], k: Int,
-                  seed: Long): Map[Long, Seq[ExplanationPath]] = {
+  def recommendedPaths(spark: SparkSession, kgIdx: KgIndex, rec: PathRecommender, users: Seq[Long],
+                       k: Int, seed: Long): Map[Long, Seq[ExplanationPath]] = {
     val kgB = spark.sparkContext.broadcast(kgIdx)
-    try PathRecommender.recommendBatch(spark.sparkContext, kgB, new Pearlm, users, k, seed)
+    try PathRecommender.recommendBatch(spark.sparkContext, kgB, rec, users, k, seed)
     finally kgB.destroy()
   }
 

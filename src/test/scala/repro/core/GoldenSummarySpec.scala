@@ -22,15 +22,15 @@ class GoldenSummarySpec extends SparkSpec {
 
   private lazy val idx = KgIndex.fromKGraph(KGBuilder.build(spark, MLSynth.ml1m(spark, scale = 0.05)))
 
-  /** User-centric scenarios at k ∈ {1, 5, 10} for eight users, and user
-    * groups of 4 and 8 of them at k = 10.
+  /** User-centric scenarios at k ∈ {1, 5, 10} for eight users of `kg`, and
+    * user groups of 4 and 8 of them at k = 10.
     */
-  private lazy val tasks: Seq[(Scenario, Summarizer.Method, Int)] = {
-    val g = idx.graph
+  private def scenarios(kg: KgIndex): Seq[(Scenario, Int)] = {
+    val g = kg.graph
     val rec = new Pgpr
     val users = (0 until g.numVertices)
-      .filter(v => idx.vtype(v) == NodeType.User && g.degree(v) >= 5).take(8)
-    val paths = users.map(u => g.ids(u) -> rec.recommend(idx, u, 10, seed = 3L))
+      .filter(v => kg.vtype(v) == NodeType.User && g.degree(v) >= 5).take(8)
+    val paths = users.map(u => g.ids(u) -> rec.recommend(kg, u, 10, seed = 3L))
       .filter(_._2.nonEmpty)
     val userCentric = for ((u, ps) <- paths; k <- Seq(1, 5, 10))
       yield (UserCentric(u, ps.take(k)): Scenario, k)
@@ -38,7 +38,18 @@ class GoldenSummarySpec extends SparkSpec {
       val members = paths.take(n)
       (UserGroup(s"g$n", members.map(_._1), members.flatMap(_._2)): Scenario, 10)
     }
-    for ((s, k) <- userCentric ++ groups; m <- methods) yield (s, m, k)
+    userCentric ++ groups
+  }
+
+  private lazy val tasks: Seq[(Scenario, Summarizer.Method, Int)] =
+    for ((s, k) <- scenarios(idx); m <- methods) yield (s, m, k)
+
+  /** A larger and a smaller ML1M-sim graph than the golden one, with their
+    * own scenarios, to summarise on between the golden grid's summaries.
+    */
+  private lazy val others: Seq[(KgIndex, Seq[(Scenario, Int)])] = Seq(0.08, 0.03).map { scale =>
+    val kg = KgIndex.fromKGraph(KGBuilder.build(spark, MLSynth.ml1m(spark, scale = scale)))
+    kg -> scenarios(kg)
   }
 
   private def fingerprint(results: Seq[Summarizer.Result]): String = {
@@ -65,6 +76,18 @@ class GoldenSummarySpec extends SparkSpec {
       val serial = order.map { case (s, m, k) => Summarizer.summarize(idx, s, m, k) }
       assert(fingerprint(serial) == Golden)
     }
+    // The thread has one search space for every graph: here each golden
+    // summary follows one on the larger graph or on the smaller one, by turns.
+    val (larger, smaller) = (others(0)._1, others(1)._1)
+    assert(larger.graph.numVertices > idx.graph.numVertices && larger.graph.numEdges > idx.graph.numEdges)
+    assert(smaller.graph.numVertices < idx.graph.numVertices && smaller.graph.numEdges < idx.graph.numEdges)
+    val alternating = tasks.zipWithIndex.map { case ((s, m, k), i) =>
+      val (other, scens) = others(i % 2)
+      val (os, ok) = scens(i / 2 % scens.size)
+      Summarizer.summarize(other, os, m, ok)
+      Summarizer.summarize(idx, s, m, k)
+    }
+    assert(fingerprint(alternating) == Golden)
   }
 
   test("a repeated ST or PCST summary allocates less than a closure-sized double[]") {
@@ -122,6 +145,19 @@ class GoldenSummarySpec extends SparkSpec {
       info(s"${method.label}: |E_S| = $edges, |T| = $terminals, least of 10 calls $least B, budget $budget B")
       assert(terminals >= 20 && edges >= terminals - 1, s"|E_S| = $edges, |T| = $terminals")
       assert(least <= budget, s"${method.label} allocated $least bytes, budget $budget")
+      // After a summary on the larger graph, the thread's space holds that
+      // graph's cost buffer, triangle and vertex arrays: the first summary
+      // back on this graph allocates none of them, each of three times.
+      val (larger, largerScenarios) = others.head
+      val largerGroup = largerScenarios.last._1
+      val afterSwitch = Seq.fill(3) {
+        Summarizer.summarize(larger, largerGroup, method, 10)
+        val before = bean.getCurrentThreadAllocatedBytes
+        Summarizer.summarize(idx, group, method, 10)
+        bean.getCurrentThreadAllocatedBytes - before
+      }
+      info(s"${method.label}: first call after the larger graph ${afterSwitch.mkString(", ")} B")
+      assert(afterSwitch.forall(_ <= budget), s"${method.label} allocated $afterSwitch bytes, budget $budget")
     }
   }
 

@@ -142,6 +142,20 @@ class MetricsSpec extends SparkSpec {
     // The aggregate comes back in key order, one row per (recommender, family, method, k).
     val keys = agg.collect().map(r => (r.getString(0), r.getString(1), r.getString(2), r.getInt(3))).toSeq
     assert(keys.size == 16 && keys == keys.sorted)
+    // Fig 6: consistency is one row per (scenario, method), averaged per (recommender, family, method).
+    val consistency = (for {
+      (rec, ri) <- Seq("pgpr", "cafe").zipWithIndex
+      (fam, fi) <- Seq("user-centric", "user-group").zipWithIndex
+      (method, mi) <- Seq("paths", "pcst").zipWithIndex
+      s <- 0 to (ri + fi + mi) % 3
+    } yield Harness.ConsistencyRow(rec, fam, s"sc$s", method, 1.0 / (1 + ri + 2 * fi + 3 * mi + s))).toDF()
+    val cons = MetricsJob.meanConsistency(consistency)
+    Oracle.assertEquivalent(cons,
+      """SELECT recommender, family, method, AVG(CAST(consistency AS DOUBLE)) AS cons, COUNT(*) AS n
+        |FROM consistency GROUP BY recommender, family, method""".stripMargin,
+      "consistency" -> consistency)
+    val consKeys = cons.collect().map(r => (r.getString(0), r.getString(1), r.getString(2))).toSeq
+    assert(consKeys.size == 8 && consKeys == consKeys.sorted)
   }
 }
 

@@ -395,18 +395,62 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     }
   }
 
+  /** A graph of 13 to 24 vertices: more than any of `randomGraphGen(12)`. */
+  private val largerGraph = TestGraphs.randomGraphGen(24, minNodes = 13)
+
   test("property: back-to-back searches in one space match fresh searches") {
-    checkProp(Prop.forAll(TestGraphs.randomGraphGen(12), Gen.choose(0L, Long.MaxValue)) { (triples, seed) =>
-      val g = CompactGraph.fromTriples(triples)
-      matchesFresh(g, new SearchSpace(g.numVertices), new scala.util.Random(seed), searches = 20)
+    // One space serves a graph, a larger one and the first again, as a
+    // thread's space serves every graph the thread summarises on.
+    checkProp(Prop.forAll(TestGraphs.randomGraphGen(12), largerGraph, Gen.choose(0L, Long.MaxValue)) {
+      (triples, largerTriples, seed) =>
+        val (g, larger) = (CompactGraph.fromTriples(triples), CompactGraph.fromTriples(largerTriples))
+        val ws = new SearchSpace(g.numVertices)
+        val rnd = new scala.util.Random(seed)
+        matchesFresh(g, ws, rnd, searches = 20) &&
+          matchesFresh(larger, ws.fitVertices(larger.numVertices), rnd, searches = 20) &&
+          matchesFresh(g, ws.fitVertices(g.numVertices), rnd, searches = 20)
     }, minTests = 25)
   }
 
   test("searches across the epoch wraparound match fresh searches") {
-    val g = CompactGraph.fromTriples(
-      TestGraphs.randomGraphGen(12).pureApply(Gen.Parameters.default, org.scalacheck.rng.Seed(3L)))
+    def graph(gen: Gen[Seq[(Long, Long, Double)]], seed: Long) =
+      CompactGraph.fromTriples(gen.pureApply(Gen.Parameters.default, org.scalacheck.rng.Seed(seed)))
+    val (g, larger) = (graph(TestGraphs.randomGraphGen(12), 3L), graph(largerGraph, 4L))
     val ws = new SearchSpace(g.numVertices, startEpoch = Int.MaxValue - 3)
     assert(matchesFresh(g, ws, new scala.util.Random(5L), searches = 8))
+    // Across a graph switch: three searches bring the epoch to Int.MaxValue − 1,
+    // and the larger graph's second search wraps it, with stamps of both graphs in the arrays.
+    val switching = new SearchSpace(g.numVertices, startEpoch = Int.MaxValue - 4)
+    val rnd = new scala.util.Random(5L)
+    assert(matchesFresh(g, switching, rnd, searches = 3))
+    assert(matchesFresh(larger, switching.fitVertices(larger.numVertices), rnd, searches = 4))
+    assert(matchesFresh(g, switching.fitVertices(g.numVertices), rnd, searches = 4))
+  }
+
+  test("one thread has one workspace for every graph; another thread has its own") {
+    val (a, b) = (diamond, CompactGraph.fromTriples((0L until 40L).map(v => (v, v + 1, 1.0))))
+    val ws = a.workspace
+    assert(b.workspace eq ws)
+    assert(a.workspace eq ws) // serving the smaller graph again neither shrinks nor replaces it
+    // After a's triangle of |E_a| slots, b's first multi-source search grows
+    // it to b's |E|, so no n with n(n−1)/2 ≤ |E_b| grows it on b, nor on a.
+    val fresh = new SearchSpace(0)
+    def search(g: CompactGraph, sources: Int): Unit =
+      g.search(fresh.fitVertices(g.numVertices), (0 until sources).toArray, 0, sources,
+        g.fillCosts(fresh, EdgeCost.uniform(1.0)), Double.PositiveInfinity)
+    search(a, 2)
+    assert(fresh.proposals.length == a.numEdges)
+    search(b, 2)
+    val triangle = fresh.proposals
+    assert(triangle.length == b.numEdges)
+    search(b, 9) // 36 pairs of 40
+    search(a, 4)
+    assert(fresh.proposals eq triangle)
+    val other = new java.util.concurrent.atomic.AtomicReference[(SearchSpace, SearchSpace)]
+    val thread = new Thread(() => other.set((a.workspace, b.workspace)))
+    thread.start(); thread.join()
+    val (otherA, otherB) = other.get
+    assert((otherA eq otherB) && (otherA ne ws))
   }
 
   test("a graph serialised after a search searches again on the copy") {

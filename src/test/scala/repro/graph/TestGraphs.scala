@@ -89,13 +89,15 @@ object TestGraphs {
     (0 until n).map(v => dp(full)(v)).min
   }
 
-  /** Random connected-ish undirected graph as directed triples with
-    * distinct random weights (distinctness makes shortest paths unique
-    * w.h.p., so cross-implementation tests can compare edge sets).
+  /** Random connected-ish undirected graph on `minNodes` to `maxNodes`
+    * vertices as directed triples with distinct random weights
+    * (distinctness makes shortest paths unique w.h.p., so
+    * cross-implementation tests can compare edge sets).
     */
-  def randomGraphGen(maxNodes: Int, extraEdgeFactor: Double = 1.5): Gen[Seq[(Long, Long, Double)]] =
+  def randomGraphGen(maxNodes: Int, extraEdgeFactor: Double = 1.5,
+                     minNodes: Int = 2): Gen[Seq[(Long, Long, Double)]] =
     for {
-      n <- Gen.choose(2, maxNodes)
+      n <- Gen.choose(minNodes, maxNodes)
       seed <- Gen.choose(0L, Long.MaxValue)
     } yield {
       val rnd = new scala.util.Random(seed)

@@ -8,6 +8,7 @@ import repro.core.Summarizer
 import repro.eval.Scalability
 import repro.graph.GraphStats
 import repro.kg.{KGBuilder, KgIndex, MLSynth, NodeIds}
+import repro.rec.Pearlm
 
 /** Smoke tests for the spark-submit entrypoints' inner logic (main()
   * methods only add argument parsing and SparkSession lifecycle).
@@ -61,7 +62,7 @@ class JobsSpec extends SparkSpec {
     val kg = KGBuilder.build(spark, MLSynth.synthetic(spark, 1200))
     val idx = KgIndex.fromKGraph(kg)
     val users = (1 to 12).map(u => NodeIds.user(u.toLong))
-    val paths = Scalability.randomPaths(spark, idx, users, k = 5, seed = 5L)
+    val paths = Scalability.recommendedPaths(spark, idx, new Pearlm, users, k = 5, seed = 5L)
     assume(paths.size >= 8)
     val scens = Scalability.groupScenarios(paths, Seq(2, 4, 8), k = 5)
     assert(scens.map(_._2) == Seq(2, 4, 8))
@@ -79,7 +80,7 @@ class JobsSpec extends SparkSpec {
     val kg = KGBuilder.build(spark, MLSynth.synthetic(spark, 1200))
     val idx = KgIndex.fromKGraph(kg)
     val users = (1 to 4).map(u => NodeIds.user(u.toLong))
-    val paths = Scalability.randomPaths(spark, idx, users, k = 5, seed = 5L)
+    val paths = Scalability.recommendedPaths(spark, idx, new Pearlm, users, k = 5, seed = 5L)
     assume(paths.nonEmpty)
     val u = paths.keys.min
     val scens = Scalability.kScenarios(paths, u, Seq(1, 3, 5))
@@ -94,7 +95,8 @@ class JobsSpec extends SparkSpec {
     assert(DriverProbe.broadcastsOf(idx) == 1)
     held.destroy()
     eventually(timeout(20.seconds))(assert(DriverProbe.broadcastsOf(idx) == 0))
-    val paths = Scalability.randomPaths(spark, idx, (1 to 4).map(u => NodeIds.user(u.toLong)), k = 5, seed = 5L)
+    val users = (1 to 4).map(u => NodeIds.user(u.toLong))
+    val paths = Scalability.recommendedPaths(spark, idx, new Pearlm, users, k = 5, seed = 5L)
     assert(paths.nonEmpty)
     eventually(timeout(20.seconds))(assert(DriverProbe.broadcastsOf(idx) == 0))
   }
