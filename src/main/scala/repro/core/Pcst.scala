@@ -21,7 +21,7 @@ import repro.graph.{CompactGraph, EdgeCost, IndexSort}
   *     the scalability behaviour reported in Figs 9–11);
   *  2. in the same pass, every edge joining two regions proposes a
   *     connection of cost dist(u) + w'(e) + dist(v); the cheapest proposal
-  *     per region pair survives (`CompactGraph.search`);
+  *     per region pair survives ([[repro.graph.SearchSpace.search]]);
   *  3. proposals are scanned in Kruskal order and accepted while
   *     cost ≤ remaining prize budget of the two components; an accepted
   *     merge spends that budget.
@@ -86,8 +86,8 @@ object Pcst {
     var budgetCap = 0.0
     i = 0
     while (i < n) { budgetCap += remaining(i); i += 1 }
-    val arcCosts = g.fillCosts(ws, cost)
-    g.search(ws, terms, 0, n, arcCosts, budgetCap)
+    val arcCosts = ws.fillCosts(g, cost)
+    ws.search(g, terms, 0, n, arcCosts, budgetCap)
 
     // Kruskal-ordered prize-aware merging, in (cost, a, b) order: the proposal
     // triangle's slots ascend with the region pair (a, b), and the sort is stable.
@@ -98,7 +98,7 @@ object Pcst {
     var m = 0; var s = 0
     while (s < pairs) {
       val a = ws.proposals(s)
-      if (a >= 0) { costs(m) = g.proposalCost(ws, a, arcCosts); bridges(m) = g.arcEdge(a); m += 1 }
+      if (a >= 0) { costs(m) = ws.proposalCost(g, a, arcCosts); bridges(m) = g.arcEdge(a); m += 1 }
       s += 1
     }
     val order = IndexSort.byKey(costs, m, ws.ints(Perm, m), ws.ints(SortBuf, m))

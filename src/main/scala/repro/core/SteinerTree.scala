@@ -43,12 +43,11 @@ object SteinerTree {
 
   /** The kernel on the cost oracle `cost`, read once per arc into the thread's cost buffer. */
   def summarize(g: CompactGraph, cost: EdgeCost, terminals: Array[Int]): TreeResult =
-    summarize(g, g.fillCosts(g.workspace, cost), terminals)
+    summarize(g, g.workspace.fillCosts(g, cost), terminals)
 
   /** The kernel on arc costs `arcCosts`, as a fill of the calling thread's
-    * workspace returns them ([[CompactGraph.fillCosts]],
-    * [[CompactGraph.fillOverlaidCosts]]). Repeated terminals count once, at
-    * their first occurrence.
+    * workspace returns them ([[repro.graph.SearchSpace.fillCosts]], [[WeightAdjust.costs]]).
+    * Repeated terminals count once, at their first occurrence.
     */
   def summarize(g: CompactGraph, arcCosts: Array[Double], terminals: Array[Int]): TreeResult = {
     val ws = g.workspace
@@ -77,7 +76,7 @@ object SteinerTree {
     var pairs = 0
     var i = 0
     while (i < n - 1) {
-      g.search(ws, terms, i, i + 1, arcCosts, Double.PositiveInfinity)
+      ws.search(g, terms, i, i + 1, arcCosts, Double.PositiveInfinity)
       var j = i + 1
       while (j < n) {
         val d = ws.dist(terms(j))

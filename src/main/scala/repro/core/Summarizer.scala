@@ -63,8 +63,8 @@ object Summarizer {
     * terminal pair, at least |E| of them). ST's Eq. (1) overlay is
     * written into the numbered scratch buffers before its kernel runs; ST
     * fills the cost buffer once per summary, by a gather of the base costs
-    * and a patch of the overlay edges' arcs
-    * ([[CompactGraph.fillOverlaidCosts]]), and all of its searches read it.
+    * and a patch of the overlay edges' arcs ([[WeightAdjust.costs]]), and
+    * all of its searches ([[repro.graph.SearchSpace.search]]) read it.
     * So a warm summary allocates this result, its subgraph's arrays and
     * edges, and little more: the terminal index array, the one iterator
     * over ST's paths, and for PCST its prizes and sorted terminals.
@@ -87,16 +87,7 @@ object Summarizer {
       case ST(lambda) =>
         val terms = terminalIndices(g, scenario.terminals)
         mem = terms.length.toLong * g.numVertices * 12L
-        // Eq. (1) in the thread's workspace buffers, then gathered with the
-        // base weights into the thread's cost buffer; nothing here boxes.
-        val ws = g.workspace
-        val m = WeightAdjust.overlayTable(kg, scenario.paths, scenario.anchors, lambda, ws)
-        val edges = ws.ints(WeightAdjust.Edges, m)
-        val weights = ws.doubles(WeightAdjust.Weights, m)
-        var wMax = kg.maxBaseWeight
-        var i = 0
-        while (i < m) { if (weights(i) > wMax) wMax = weights(i); i += 1 }
-        val costs = g.fillOverlaidCosts(ws, wMax, edges, weights, m, Delta)
+        val costs = WeightAdjust.costs(kg, scenario.paths, scenario.anchors, lambda, g.workspace)
         resolve(kg, scenario, terms, SteinerTree.summarize(g, costs, terms), keepIsolated = true)
 
       case pcst: PCST =>

@@ -25,8 +25,8 @@ import repro.rec.ExplanationPath
 object WeightAdjust {
 
   /** The workspace buffers that hold the overlay: its edges (`ints`) and their weights (`doubles`). */
-  final val Edges = 3
-  final val Weights = 1
+  private[core] final val Edges = 3
+  private[core] final val Weights = 1
 
   // Scratch while counting: one entry per KG hop.
   private final val HopEdges = 0 // doubles
@@ -92,6 +92,20 @@ object WeightAdjust {
       m += 1
     }
     m
+  }
+
+  /** ST's arc costs (W_max − w(e)) + [[Summarizer.Delta]] in `ws`'s cost buffer: the [[overlayTable]],
+    * W_max over `kg.maxBaseWeight` and its weights, then [[SearchSpace.fillOverlaidCosts]].
+    */
+  def costs(kg: KgIndex, paths: Seq[ExplanationPath], anchors: Int, lambda: Double,
+            ws: SearchSpace): Array[Double] = {
+    val m = overlayTable(kg, paths, anchors, lambda, ws)
+    val edges = ws.ints(Edges, m)
+    val weights = ws.doubles(Weights, m)
+    var wMax = kg.maxBaseWeight
+    var i = 0
+    while (i < m) { if (weights(i) > wMax) wMax = weights(i); i += 1 }
+    ws.fillOverlaidCosts(kg.graph, wMax, edges, weights, m, Summarizer.Delta)
   }
 
   /** [[overlayTable]] in the calling thread's workspace, copied out as a map edge id → adjusted weight. */

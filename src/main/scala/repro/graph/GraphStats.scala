@@ -24,7 +24,7 @@ object GraphStats {
 
   /** Edge-layer counts as sums of typed degrees over the knowledge graph's
     * CSR, `kg.graph` (oracle-checked in GraphStatsSpec); path-length stats
-    * from unit-cost searches on it, whose distances are hop counts.
+    * from unit-cost [[SearchSpace.search]]es on it: hop counts.
     */
   def compute(kg: KGraph, sampleSources: Int = 24, seed: Long = 42L): Stats = {
     val g = kg.graph
@@ -42,10 +42,10 @@ object GraphStats {
     val rnd = new scala.util.Random(seed)
     val sources = Array.fill(math.min(sampleSources, g.numVertices))(rnd.nextInt(g.numVertices))
     val ws = g.workspace
-    val unit = g.fillCosts(ws, EdgeCost.uniform(1.0))
+    val unit = ws.fillCosts(g, EdgeCost.uniform(1.0))
     var sumDist = 0.0; var nPairs = 0L; var diameter = 0
     sources.foreach { s =>
-      g.search(ws, Array(s), 0, 1, unit, Double.PositiveInfinity)
+      ws.search(g, Array(s), 0, 1, unit, Double.PositiveInfinity)
       var v = 0
       while (v < g.numVertices) {
         val h = ws.dist(v)

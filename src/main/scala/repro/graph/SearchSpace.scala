@@ -1,8 +1,8 @@
 package repro.graph
 
-/** Reusable state of [[CompactGraph.search]]: distances, predecessor arcs,
-  * owners, settled and target flags, the heap and the boundary proposals,
-  * so that a warm search allocates nothing.
+/** A thread's search: the one shortest-path loop ([[search]]) on a graph
+  * passed to each call, the cost fills it reads and all the state they
+  * write, so that a warm search allocates nothing.
   *
   * A thread has one space ([[CompactGraph.workspace]]), shared by every
   * graph the thread serves. Every buffer follows one sizing rule: it is
@@ -33,21 +33,21 @@ package repro.graph
   * scratch for the length of its call; kernels do not nest on a thread, so
   * `SteinerTree` and `Pcst` share it. ST's Eq. (1) overlay
   * (`WeightAdjust.overlayTable`) uses the numbered buffers too: it is
-  * written before the kernel runs and dead once
-  * [[CompactGraph.fillOverlaidCosts]] has read it. Like the per-vertex
-  * arrays, the scratch lives as long as the thread: it grows geometrically
-  * to the largest summary the thread has run and is never shrunk.
+  * written before the kernel runs and dead once [[fillOverlaidCosts]] has
+  * read it. Like the per-vertex arrays, the scratch lives as long as the
+  * thread: it grows geometrically to the largest summary the thread has
+  * run and is never shrunk.
   *
-  * A vertex mark set, epoch-stamped like the search arrays but untouched
-  * by a search, dedupes terminals ([[distinctVertices]]) and finds the
-  * terminals a summary leaves isolated.
+  * A vertex mark set, epoch-stamped like the search arrays, dedupes
+  * terminals ([[distinctVertices]]) and finds the terminals a summary
+  * leaves isolated. A search keeps its settle-set there, so marks are
+  * valid until the thread's next [[search]].
   *
   * Two more pieces are sized by a graph's edges, not by a summary: the
-  * cost buffer that [[CompactGraph.fillCosts]] or
-  * [[CompactGraph.fillOverlaidCosts]] writes once per kernel call with a
-  * non-uniform cost and every [[CompactGraph.search]] of the call reads
-  * (2|E| doubles in arc order, allocated on first use), and the proposal
-  * triangle (≥ |E| ints).
+  * cost buffer that [[fillCosts]] or [[fillOverlaidCosts]] writes once per
+  * kernel call with a non-uniform cost and every [[search]] of the call
+  * reads (2|E| doubles in arc order, allocated on first use), and the
+  * proposal triangle (≥ |E| ints).
   *
   * @param n          the initial length of the per-vertex arrays
   * @param startEpoch the epoch counters' start (tests start near the wrap)
@@ -58,7 +58,6 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
   private var markedAt   = new Array[Int](n)
   private var reachedAt  = new Array[Int](n)
   private var settledAt  = new Array[Int](n)
-  private var targetAt   = new Array[Int](n)
   private var distOf     = new Array[Double](n)
   private var predArcOf  = new Array[Int](n)
   private var ownerOf    = new Array[Int](n)
@@ -87,7 +86,6 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
       markedAt = java.util.Arrays.copyOf(markedAt, numVertices)
       reachedAt = java.util.Arrays.copyOf(reachedAt, numVertices)
       settledAt = java.util.Arrays.copyOf(settledAt, numVertices)
-      targetAt = java.util.Arrays.copyOf(targetAt, numVertices)
       distOf = java.util.Arrays.copyOf(distOf, numVertices)
       predArcOf = java.util.Arrays.copyOf(predArcOf, numVertices)
       ownerOf = java.util.Arrays.copyOf(ownerOf, numVertices)
@@ -95,30 +93,29 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
     this
   }
 
-  /** The boundary proposals of the last multi-source [[CompactGraph.search]]. */
+  /** The boundary proposals of the last multi-source [[search]]. */
   def proposals: Array[Int] = pairArcs
 
   // The triangle with its first n(n−1)/2 slots at −1. It is grown to at
   // least the graph's |E| slots, so on any graph only an n with
   // n(n−1)/2 > |E| grows it after the first multi-source search there.
-  private[graph] def resetProposals(n: Int, numEdges: Int): Array[Int] = {
+  private def resetProposals(n: Int, numEdges: Int): Unit = {
     val pairs = Math.toIntExact(n.toLong * (n - 1) / 2)
     if (pairArcs.length < math.max(pairs, numEdges))
       pairArcs = new Array[Int](if (pairs > numEdges) SearchSpace.grownSize(pairArcs.length, pairs) else numEdges)
     java.util.Arrays.fill(pairArcs, 0, pairs, -1)
-    pairArcs
   }
 
   /** The arc-cost buffer, with at least `arcs` entries. Arcs come in
     * pairs, so it never has the one entry of a uniform cost.
     */
-  private[graph] def costs(arcs: Int): Array[Double] = {
+  private def costs(arcs: Int): Array[Double] = {
     if (costBuf.length < arcs) costBuf = new Array[Double](arcs)
     costBuf
   }
 
   /** The one-entry cost array of a uniform cost. */
-  private[graph] val uniformCost = new Array[Double](1)
+  private val uniformCost = new Array[Double](1)
 
   /** `Int` buffer number `slot` (`0 until IntBuffers`), with at least
     * `size` entries. Growing it keeps its contents.
@@ -164,10 +161,10 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
     */
   def edgeIds: Array[Int] = java.util.Arrays.copyOf(edgeList, edgeCount)
 
-  /** Empties the vertex mark set, a set of vertex indices that no search
-    * touches. Membership is an epoch stamp per vertex, so clearing costs
-    * O(1); the kernels' terminal dedupe and ST's isolated-terminal check
-    * run on it.
+  /** Empties the vertex mark set, a set of vertex indices valid until the
+    * thread's next [[search]], which keeps its settle-set there. Membership
+    * is an epoch stamp per vertex, so clearing costs O(1); the kernels'
+    * terminal dedupe and ST's isolated-terminal check run on it.
     */
   def clearMarks(): Unit = {
     if (markEpoch == Int.MaxValue) { java.util.Arrays.fill(markedAt, 0); markEpoch = 0 }
@@ -212,34 +209,203 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
 
   def settled(v: Int): Boolean = settledAt(v) == epoch
 
-  private[graph] def begin(): Unit = {
+  /** Multi-source Dijkstra over `g`'s undirected view with per-edge costs,
+    * the one shortest-path loop of the code base. Results are read from
+    * this space afterwards: [[dist]], [[predArc]] and [[owner]], the index
+    * *into `terms`* of the closest source.
+    *
+    * A search with n ≥ 2 sources also leaves in [[proposals]] the
+    * boundary proposals of Algorithm 2, the cheapest connection between
+    * each pair of regions (Mehlhorn's construction): for regions a < b,
+    * slot [[SearchSpace.pairSlot]]`(n, a, b)` holds an arc of the edge of
+    * least [[proposalCost]], then lowest id, among the edges whose ends
+    * settle with owners a and b (−1 if none). Each edge is offered once,
+    * when its later endpoint settles, so both distances are final; a search
+    * that stops early offers only the edges it scanned. A single-source
+    * search leaves the proposals alone.
+    *
+    * The sources and the settle-set are ranges of one array, so a kernel
+    * passes slices of its terminal array without copying them. The
+    * settle-set is kept in the vertex mark set, so a search empties it.
+    *
+    * @param g       the graph, at most as many vertices as this space's
+    *                per-vertex arrays (as [[CompactGraph.workspace]] returns
+    *                the space); the previous search's results are discarded
+    * @param terms   the sources `terms(from until until)`, distinct and all
+    *                at distance 0, then the settle-set
+    *                `terms(until until terms.length)`: the search stops once
+    *                every reachable target has been settled (a full search
+    *                if that range is empty). Early stopping is what keeps
+    *                Algorithm 1 fast — terminals of one summary live within
+    *                a few hops.
+    * @param cost    arc → cost of its edge, or one cost that every arc has,
+    *                as [[fillCosts]] returns it; every cost must be ≥ 0 (the
+    *                kernels' are > 0), which the fill checks
+    * @param maxDist vertices farther than this are never reached
+    */
+  def search(g: CompactGraph, terms: Array[Int], from: Int, until: Int, cost: Array[Double],
+             maxDist: Double): Unit = {
+    clearMarks()
+    val perArc = if (cost.length == 1) 0 else -1 // index mask: a lone cost is every arc's
+    val regions = until - from
+    if (regions >= 2) resetProposals(regions, g.numEdges)
     if (epoch == Int.MaxValue) {
       java.util.Arrays.fill(reachedAt, 0)
       java.util.Arrays.fill(settledAt, 0)
-      java.util.Arrays.fill(targetAt, 0)
       epoch = 0
     }
     epoch += 1
     heapSize = 0
+    var s = from
+    while (s < until) {
+      val v = terms(s)
+      // Not `require`: its message thunk would be allocated for every source.
+      if (reachedAt(v) == epoch) throw new IllegalArgumentException(s"source vertex $v listed twice")
+      relax(v, 0.0, -1, s)
+      s += 1
+    }
+    var remaining = 0
+    var t = until
+    while (t < terms.length) {
+      if (mark(terms(t))) remaining += 1
+      t += 1
+    }
+    var done = false
+    while (!done && !heapEmpty) {
+      val d = topKey
+      val u = pop()
+      // Lazy deletion: only the entry carrying u's current distance is live.
+      if (!settled(u) && d <= dist(u)) {
+        settledAt(u) = epoch
+        if (marked(u)) {
+          remaining -= 1
+          if (remaining == 0) done = true
+        }
+        if (!done) {
+          val du = dist(u)
+          val ou = owner(u)
+          var a = g.offsets(u)
+          val end = g.offsets(u + 1)
+          while (a < end) {
+            val v = g.arcTarget(a)
+            if (!settled(v)) {
+              val nd = du + cost(a & perArc)
+              if (nd < dist(v) && nd <= maxDist) relax(v, nd, a, ou)
+            } else if (regions >= 2) {
+              val ov = owner(v)
+              if (ov != ou) propose(g, SearchSpace.pairSlot(regions, ou min ov, ou max ov), a, v, du, cost)
+            }
+            a += 1
+          }
+        }
+      }
+    }
   }
 
-  private[graph] def reached(v: Int): Boolean = reachedAt(v) == epoch
+  /** The cost of the connection through arc `a`'s edge `e` after a [[search]] on `cost`,
+    * `dist(edgeSrc(e)) + cost(e) + dist(edgeDst(e))`: in the edge's own direction.
+    */
+  def proposalCost(g: CompactGraph, a: Int, cost: Array[Double]): Double = {
+    val e = g.arcEdge(a)
+    dist(g.edgeSrc(e)) + cost(if (cost.length == 1) 0 else a) + dist(g.edgeDst(e))
+  }
 
-  private[graph] def relax(v: Int, d: Double, arc: Int, owner: Int): Unit = {
+  // Keeps in `slot` the arc of the cheaper connection. Arc a runs from u, at du, to v; the two
+  // orders of its proposalCost agree whenever the sum is exact (a uniform 0.25 and its
+  // multiples), and only when they differ is its edge's far-off source read.
+  private def propose(g: CompactGraph, slot: Int, a: Int, v: Int, du: Double, cost: Array[Double]): Unit =
+    if (pairArcs(slot) < 0) pairArcs(slot) = a
+    else {
+      val dv = dist(v); val c = cost(if (cost.length == 1) 0 else a)
+      val fromU = du + c + dv; val fromV = dv + c + du
+      val total = if (fromU == fromV || g.edgeSrc(g.arcEdge(a)) != v) fromU else fromV
+      val best = proposalCost(g, pairArcs(slot), cost)
+      if (total < best || (total == best && g.arcEdge(a) < g.arcEdge(pairArcs(slot)))) pairArcs(slot) = a
+    }
+
+  /** The costs for the [[search]]es of one kernel call on `g`: the oracle
+    * runs 2|E| times per call instead of once per arc relaxation. Writes
+    * `cost(arcEdge(a))` for every arc `a` into the cost buffer, so a
+    * relaxation reads its cost next to its arc; a uniform cost is returned
+    * as a one-entry array instead, which [[search]] applies to every arc
+    * and which costs no fill. A NaN or negative cost would break
+    * Dijkstra's settled invariant without a trace, so it throws here,
+    * naming the edge.
+    */
+  def fillCosts(g: CompactGraph, cost: EdgeCost): Array[Double] = cost match {
+    case EdgeCost.Uniform(c) =>
+      if (g.numEdges > 0) checkCost(0, c)
+      uniformCost(0) = c
+      uniformCost
+    case _ =>
+      val arcs = g.arcEdge.length
+      val buf = costs(arcs)
+      var a = 0
+      while (a < arcs) {
+        val e = g.arcEdge(a)
+        val c = cost(e)
+        checkCost(e, c)
+        buf(a) = c
+        a += 1
+      }
+      buf
+  }
+
+  /** ST's Eq. (1) costs for the [[search]]es of one kernel call on `g`, in
+    * the cost buffer: arc `a` of edge `e` gets `(wm − w(e)) + delta`, where
+    * `w(e)` is `weights(i)` for an overlay edge `e = edges(i)`, `i < m`,
+    * and `edgeWeight(e)` otherwise. The overlay's edges must ascend. The
+    * base cost is gathered for every arc, then the two arcs of each overlay
+    * edge are patched, in ascending edge order, found by binary search in
+    * their endpoints' ascending edge ids; so no arc pays an overlay lookup,
+    * and the values are those of [[fillCosts]] on the same formula. A NaN or
+    * negative cost throws, naming the edge, as in [[fillCosts]].
+    */
+  def fillOverlaidCosts(g: CompactGraph, wm: Double, edges: Array[Int], weights: Array[Double], m: Int,
+                        delta: Double): Array[Double] = {
+    val arcs = g.arcEdge.length
+    val buf = costs(arcs)
+    var a = 0
+    while (a < arcs) {
+      val e = g.arcEdge(a)
+      val c = (wm - g.edgeWeight(e)) + delta
+      // A bad base cost counts only if no overlay weight replaces it.
+      if (!(c >= 0) && java.util.Arrays.binarySearch(edges, 0, m, e) < 0) checkCost(e, c)
+      buf(a) = c
+      a += 1
+    }
+    var i = 0
+    while (i < m) {
+      val e = edges(i)
+      val c = (wm - weights(i)) + delta
+      checkCost(e, c)
+      patchArcs(g, buf, g.edgeSrc(e), e, c)
+      if (g.edgeDst(e) != g.edgeSrc(e)) patchArcs(g, buf, g.edgeDst(e), e, c)
+      i += 1
+    }
+    buf
+  }
+
+  // Writes c at the arcs of edge e in v's row: one, or the adjacent two of a self-loop.
+  private def patchArcs(g: CompactGraph, buf: Array[Double], v: Int, e: Int, c: Double): Unit = {
+    val from = g.offsets(v); val until = g.offsets(v + 1)
+    val hit = java.util.Arrays.binarySearch(g.arcEdge, from, until, e)
+    var a = hit
+    while (a >= from && g.arcEdge(a) == e) { buf(a) = c; a -= 1 }
+    a = hit + 1
+    while (a < until && g.arcEdge(a) == e) { buf(a) = c; a += 1 }
+  }
+
+  private def checkCost(e: Int, c: Double): Unit =
+    if (!(c >= 0)) throw new IllegalArgumentException(s"edge $e has cost $c; edge costs must be >= 0")
+
+  private def relax(v: Int, d: Double, arc: Int, owner: Int): Unit = {
     reachedAt(v) = epoch
     distOf(v) = d
     predArcOf(v) = arc
     ownerOf(v) = owner
     push(d, v)
   }
-
-  private[graph] def settle(v: Int): Unit = settledAt(v) = epoch
-
-  /** Marks `v` as a target; false if it already was one. */
-  private[graph] def markTarget(v: Int): Boolean =
-    if (targetAt(v) == epoch) false else { targetAt(v) = epoch; true }
-
-  private[graph] def isTarget(v: Int): Boolean = targetAt(v) == epoch
 
   private[graph] def heapEmpty: Boolean = heapSize == 0
 

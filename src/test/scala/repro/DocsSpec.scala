@@ -6,7 +6,8 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.jdk.CollectionConverters._
 
 /** DESIGN.md describes the code that exists: its module list (§3) names
-  * every main source file, and every file it names exists.
+  * every main source file, and every file it names exists; and the docs
+  * name only members that exist.
   */
 class DocsSpec extends AnyFunSuite {
 
@@ -40,5 +41,33 @@ class DocsSpec extends AnyFunSuite {
       .flatMap(scalaFiles).map(_.getFileName.toString).toSet
     val stale = named -- existing
     assert(stale.isEmpty, s"DESIGN.md §3 names files that do not exist: ${stale.toSeq.sorted.mkString(", ")}")
+  }
+
+  private def read(p: Path): String = new String(Files.readAllBytes(p), UTF_8)
+
+  test("every Type.member that DESIGN.md, README.md and Scaladoc links name is declared in Type.scala") {
+    // Main and jobs/ sources by type name; a type with no file of its own
+    // (`EdgeCost`, `System`) is not checked.
+    val sources = (scalaFiles("src/main/scala") ++ scalaFiles("jobs"))
+      .map(f => f.getFileName.toString.stripSuffix(".scala") -> read(f)).toMap
+    val ref = "(?<![\\w.])([A-Z]\\w*)\\.([A-Za-z_]\\w*)".r
+    val inDocs = for {
+      doc <- Seq("DESIGN.md", "README.md")
+      span <- "`([^`\n]+)`".r.findAllMatchIn(read(Paths.get(doc))).map(_.group(1))
+      m <- ref.findAllMatchIn(span)
+    } yield (doc, m.group(1), m.group(2))
+    val inLinks = for {
+      file <- scalaFiles("src/main/scala") ++ scalaFiles("jobs")
+      link <- "\\[\\[([^\\]]+)\\]\\]".r.findAllMatchIn(read(file)).map(_.group(1))
+      m <- "([A-Z]\\w*)\\.([A-Za-z_]\\w*)".r.findFirstMatchIn(link) // past a package prefix
+    } yield (file.getFileName.toString, m.group(1), m.group(2))
+    val checked = (inDocs ++ inLinks).filter { case (_, tpe, member) => member != "scala" && sources.contains(tpe) }
+    assert(checked.size > 40, s"found only ${checked.size} references to check")
+    val stale = checked.filterNot { case (_, tpe, member) =>
+      s"\\b(def|val|var|class|object|trait)\\s+${java.util.regex.Pattern.quote(member)}\\b".r
+        .findFirstIn(sources(tpe)).isDefined
+    }
+    assert(stale.isEmpty, "names of undeclared members: " +
+      stale.distinct.map { case (where, tpe, member) => s"$where: $tpe.$member" }.mkString(", "))
   }
 }

@@ -141,7 +141,17 @@ class WeightAdjustSpec extends SparkSpec with PropSupport {
       val matches = overlay.size == expected.size() && overlay.forall { case (e, w) =>
         expected.containsKey(e) && expected.get(e).doubleValue() == w
       }
-      ascending && matches && WeightAdjust.overlay(kg, paths, anchors, lambda) == expected
+      val boxed = WeightAdjust.overlay(kg, paths, anchors, lambda)
+      // Eq. (1) costs from one call equal, bit for bit, a per-edge fill of
+      // (W_max − w(e)) + δ over the boxed overlay's weights.
+      def w(e: Int): Double = if (boxed.containsKey(e)) boxed.get(e).doubleValue() else g.edgeWeight(e)
+      val wMax = (0 until g.numEdges).filter(e => boxed.containsKey(e)).map(w).foldLeft(kg.maxBaseWeight)(math.max)
+      val costs = WeightAdjust.costs(kg, paths, anchors, lambda, TestGraphs.freshWorkspace(g))
+      val reference = TestGraphs.freshWorkspace(g).fillCosts(g, (e: Int) => (wMax - w(e)) + Summarizer.Delta)
+      val bitwise = (0 until 2 * g.numEdges).forall { a =>
+        java.lang.Double.doubleToRawLongBits(costs(a)) == java.lang.Double.doubleToRawLongBits(reference(a))
+      }
+      ascending && matches && boxed == expected && bitwise
     }, minTests = 100)
   }
 

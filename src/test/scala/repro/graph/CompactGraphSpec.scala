@@ -17,7 +17,7 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     */
   private def shortestPath(g: CompactGraph, source: Int, v: Int): Array[Int] = {
     val ws = g.workspace
-    g.search(ws, Array(source), 0, 1, g.fillCosts(ws, byWeight(g)), Double.PositiveInfinity)
+    ws.search(g, Array(source), 0, 1, ws.fillCosts(g, byWeight(g)), Double.PositiveInfinity)
     val path = new Array[Int](g.pathLength(ws, v))
     g.writePath(ws, v, path, path.length)
     path
@@ -101,10 +101,10 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
       val cost = byWeight(g)
       val fw = TestGraphs.floydWarshall(g, cost)
       val ws = new SearchSpace(g.numVertices)
-      val costs = g.fillCosts(ws, cost) // filled once, read by every search below
+      val costs = ws.fillCosts(g, cost) // filled once, read by every search below
       (0 until 2 * g.numEdges).forall(a => costs(a) == cost(g.arcEdge(a))) &&
         (0 until g.numVertices).forall { s =>
-          g.search(ws, Array(s), 0, 1, costs, Double.PositiveInfinity)
+          ws.search(g, Array(s), 0, 1, costs, Double.PositiveInfinity)
           (0 until g.numVertices).forall { v =>
             val (a, b) = (ws.dist(v), fw(s)(v))
             (a.isInfinity && b.isInfinity) || math.abs(a - b) < 1e-9
@@ -117,11 +117,11 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     checkProp(Prop.forAll(TestGraphs.multigraphGen(12), Gen.choose(0, 11)) { (triples, source) =>
       val g = CompactGraph.fromTriples(triples)
       val (one, perArc) = (new SearchSpace(g.numVertices), new SearchSpace(g.numVertices))
-      val lone = g.fillCosts(one, EdgeCost.uniform(0.25))
-      val full = g.fillCosts(perArc, (_: Int) => 0.25)
+      val lone = one.fillCosts(g, EdgeCost.uniform(0.25))
+      val full = perArc.fillCosts(g, (_: Int) => 0.25)
       val s = source % g.numVertices
-      g.search(one, Array(s), 0, 1, lone, 1.0)
-      g.search(perArc, Array(s), 0, 1, full, 1.0)
+      one.search(g, Array(s), 0, 1, lone, 1.0)
+      perArc.search(g, Array(s), 0, 1, full, 1.0)
       lone.length == 1 && full.length == 2 * g.numEdges && (0 until g.numVertices).forall { v =>
         one.dist(v) == perArc.dist(v) && one.predArc(v) == perArc.predArc(v) && one.settled(v) == perArc.settled(v)
       }
@@ -133,14 +133,14 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     val ws = new SearchSpace(g.numVertices)
     Seq(Double.NaN, -0.5).foreach { bad =>
       val oracle: EdgeCost = (e: Int) => if (e == 3) bad else 1.0
-      val err = intercept[IllegalArgumentException](g.fillCosts(ws, oracle))
+      val err = intercept[IllegalArgumentException](ws.fillCosts(g, oracle))
       assert(err.getMessage.contains(s"edge 3 has cost $bad"), err.getMessage)
-      val uniform = intercept[IllegalArgumentException](g.fillCosts(ws, EdgeCost.uniform(bad)))
+      val uniform = intercept[IllegalArgumentException](ws.fillCosts(g, EdgeCost.uniform(bad)))
       assert(uniform.getMessage.contains(s"edge 0 has cost $bad"), uniform.getMessage)
     }
     // Zero and +∞ are legal: a free edge, and one no search crosses.
-    val costs = g.fillCosts(ws, (e: Int) => if (e == 4) Double.PositiveInfinity else 0.0)
-    g.search(ws, Array(g.indexOf(0)), 0, 1, costs, Double.PositiveInfinity)
+    val costs = ws.fillCosts(g, (e: Int) => if (e == 4) Double.PositiveInfinity else 0.0)
+    ws.search(g, Array(g.indexOf(0)), 0, 1, costs, Double.PositiveInfinity)
     assert((0 until g.numVertices).forall(v => ws.dist(v) == 0.0))
   }
 
@@ -186,7 +186,7 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     (overlay.weights.take(overlay.m) ++ g.edgeWeight).max
 
   private def fill(g: CompactGraph, ws: SearchSpace, wm: Double, o: Overlay, delta: Double): Array[Double] =
-    g.fillOverlaidCosts(ws, wm, o.edges, o.weights, o.m, delta)
+    ws.fillOverlaidCosts(g, wm, o.edges, o.weights, o.m, delta)
 
   test("property: Eq. (1) gather and overlay patch equal the oracle fill bit for bit") {
     val gen = for {
@@ -205,7 +205,7 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
       val overlay = randomOverlay(g, lambda, rnd)
       val wm = maxWeight(g, overlay)
       val gathered = fill(g, ws, wm, overlay, 1e-6)
-      val oracle = g.fillCosts(new SearchSpace(g.numVertices), eq1Oracle(g, wm, overlay, 1e-6))
+      val oracle = new SearchSpace(g.numVertices).fillCosts(g, eq1Oracle(g, wm, overlay, 1e-6))
       (0 until 2 * g.numEdges).forall { a =>
         java.lang.Double.doubleToRawLongBits(gathered(a)) == java.lang.Double.doubleToRawLongBits(oracle(a))
       }
@@ -262,6 +262,25 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     val inputs = (1L to 8L).map(seed =>
       dedupeInput.pureApply(Gen.Parameters.default, org.scalacheck.rng.Seed(seed)))
     assert(inputs.forall { case (a, n) => dedupes(ws, a, n) })
+    // A search with targets between the dedupes: it keeps its settle-set in
+    // the mark set, so it must ignore the dedupe's marks, and the next dedupe
+    // the search's. Each start puts the wrap at another call; from
+    // Int.MaxValue it comes in the first search.
+    val g = CompactGraph.fromTriples((0L until 14L).flatMap(v => Seq((v, (v + 1) % 14, 1.0 + v % 3),
+      (v, (v * 5 + 3) % 14, 2.5))))
+    val cost = byWeight(g)
+    (0 to 3).foreach { back =>
+      val space = new SearchSpace(14, startEpoch = Int.MaxValue - back)
+      inputs.zipWithIndex.foreach { case ((a, n), i) =>
+        val terms = Array(i % 14, (i + 5) % 14) ++ a.take(n).filter(v => v != i % 14 && v != (i + 5) % 14)
+        val fresh = new SearchSpace(14)
+        space.search(g, terms, 0, 1, space.fillCosts(g, cost), Double.PositiveInfinity)
+        fresh.search(g, terms, 0, 1, fresh.fillCosts(g, cost), Double.PositiveInfinity)
+        assert((0 until 14).forall(v => space.settled(v) == fresh.settled(v) && space.dist(v) == fresh.dist(v)),
+          s"search $i from epoch Int.MaxValue - $back")
+        assert(dedupes(space, a, n), s"dedupe $i from epoch Int.MaxValue - $back")
+      }
+    }
   }
 
   test("property: path edge costs sum to the reported distance") {
@@ -336,20 +355,20 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
         val n = sources.length
         val maxDist = if (rnd.nextBoolean()) Double.PositiveInfinity else 6 * rnd.nextDouble()
         val ws = new SearchSpace(g.numVertices)
-        val arcCosts = g.fillCosts(ws, cost)
-        g.search(ws, sources, 0, n, arcCosts, maxDist)
+        val arcCosts = ws.fillCosts(g, cost)
+        ws.search(g, sources, 0, n, arcCosts, maxDist)
         val recorded = TestGraphs.proposalsOf(g, ws, n, arcCosts)
         val reference = TestGraphs.scanProposals(g, ws, cost)
         // A single-source search leaves them alone.
         val triangle = ws.proposals.take(n * (n - 1) / 2)
-        g.search(ws, sources, 0, 1, arcCosts, maxDist)
+        ws.search(g, sources, 0, 1, arcCosts, maxDist)
         // The first multi-source search sizes the triangle for every n with
         // n(n−1)/2 ≤ |E|: the largest such n reuses it.
         val fresh = new SearchSpace(g.numVertices)
-        g.search(fresh, sources, 0, 2, arcCosts, maxDist)
+        fresh.search(g, sources, 0, 2, arcCosts, maxDist)
         val first = fresh.proposals
         val largest = (2 to g.numVertices).takeWhile(k => k * (k - 1) / 2 <= g.numEdges).last
-        g.search(fresh, (0 until g.numVertices).toArray, 0, largest, arcCosts, maxDist)
+        fresh.search(g, (0 until g.numVertices).toArray, 0, largest, arcCosts, maxDist)
         recorded == reference && ws.proposals.take(n * (n - 1) / 2).sameElements(triangle) &&
           (fresh.proposals eq first)
     }, minTests = 200)
@@ -362,8 +381,8 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     // on its lower id.
     val g = CompactGraph.fromTriples(Seq((2L, 3L, 0.2), (0L, 2L, 0.1), (1L, 3L, 0.3), (0L, 1L, 0.6)))
     val ws = new SearchSpace(g.numVertices)
-    val costs = g.fillCosts(ws, byWeight(g))
-    g.search(ws, Array(0, 1), 0, 2, costs, Double.PositiveInfinity)
+    val costs = ws.fillCosts(g, byWeight(g))
+    ws.search(g, Array(0, 1), 0, 2, costs, Double.PositiveInfinity)
     assert(TestGraphs.proposalsOf(g, ws, 2, costs) == Map(1L -> ((0.6, 3))))
     assert(TestGraphs.scanProposals(g, ws, byWeight(g)) == Map(1L -> ((0.6, 3))))
   }
@@ -371,12 +390,15 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
   /** Runs `searches` back to back in `ws` and checks each against the same
     * search in a fresh space: every vertex's dist, predArc, owner and
     * settled flag must agree, and so must the proposals of a search with
-    * two or more sources.
+    * two or more sources. Before each search, a dedupe leaves 0 to 3
+    * random vertices marked in `ws` (the fresh space has none): the search
+    * keeps its settle-set in the mark set, so no stale mark may count as a
+    * target.
     */
   private def matchesFresh(g: CompactGraph, ws: SearchSpace, rnd: scala.util.Random,
                            searches: Int): Boolean = {
     val cost = byWeight(g)
-    def proposals(space: SearchSpace, n: Int) = TestGraphs.proposalsOf(g, space, n, g.fillCosts(space, cost))
+    def proposals(space: SearchSpace, n: Int) = TestGraphs.proposalsOf(g, space, n, space.fillCosts(g, cost))
     (1 to searches).forall { _ =>
       val sources = rnd.shuffle((0 until g.numVertices).toList).take(1 + rnd.nextInt(3)).toArray
       val targets = rnd.nextInt(3) match {
@@ -386,8 +408,10 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
       val maxDist = if (rnd.nextBoolean()) Double.PositiveInfinity else 0.5 + 2 * rnd.nextDouble()
       val fresh = new SearchSpace(g.numVertices)
       val terms = sources ++ targets
-      g.search(ws, terms, 0, sources.length, g.fillCosts(ws, cost), maxDist)
-      g.search(fresh, terms, 0, sources.length, g.fillCosts(fresh, cost), maxDist)
+      val stale = Array.fill(rnd.nextInt(4))(rnd.nextInt(g.numVertices))
+      ws.distinctVertices(stale, stale.length)
+      ws.search(g, terms, 0, sources.length, ws.fillCosts(g, cost), maxDist)
+      fresh.search(g, terms, 0, sources.length, fresh.fillCosts(g, cost), maxDist)
       (0 until g.numVertices).forall { v =>
         ws.dist(v) == fresh.dist(v) && ws.predArc(v) == fresh.predArc(v) &&
           ws.owner(v) == fresh.owner(v) && ws.settled(v) == fresh.settled(v)
@@ -436,8 +460,9 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     // it to b's |E|, so no n with n(n−1)/2 ≤ |E_b| grows it on b, nor on a.
     val fresh = new SearchSpace(0)
     def search(g: CompactGraph, sources: Int): Unit =
-      g.search(fresh.fitVertices(g.numVertices), (0 until sources).toArray, 0, sources,
-        g.fillCosts(fresh, EdgeCost.uniform(1.0)), Double.PositiveInfinity)
+      fresh.fitVertices(g.numVertices)
+        .search(g, (0 until sources).toArray, 0, sources, fresh.fillCosts(g, EdgeCost.uniform(1.0)),
+          Double.PositiveInfinity)
     search(a, 2)
     assert(fresh.proposals.length == a.numEdges)
     search(b, 2)
@@ -482,7 +507,7 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
   /** Distances of a unit-cost search from `source`, as the graph statistics run it. */
   private def hops(g: CompactGraph, source: Int): Array[Double] = {
     val ws = g.workspace
-    g.search(ws, Array(source), 0, 1, g.fillCosts(ws, EdgeCost.uniform(1.0)), Double.PositiveInfinity)
+    ws.search(g, Array(source), 0, 1, ws.fillCosts(g, EdgeCost.uniform(1.0)), Double.PositiveInfinity)
     Array.tabulate(g.numVertices)(ws.dist)
   }
 

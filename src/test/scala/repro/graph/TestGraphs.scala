@@ -53,7 +53,7 @@ object TestGraphs {
     */
   def proposalsOf(g: CompactGraph, ws: SearchSpace, n: Int, cost: Array[Double]): Map[Long, (Double, Int)] =
     (for (a <- 0 until n; b <- a + 1 until n; arc = ws.proposals(SearchSpace.pairSlot(n, a, b)) if arc >= 0)
-      yield ((a.toLong << 32) | b) -> ((g.proposalCost(ws, arc, cost), g.arcEdge(arc)))).toMap
+      yield ((a.toLong << 32) | b) -> ((ws.proposalCost(g, arc, cost), g.arcEdge(arc)))).toMap
 
   /** Exact Steiner tree cost via the Dreyfus–Wagner DP (test-only; for
     * tiny graphs). Returns the optimal cost of a tree spanning

@@ -88,7 +88,7 @@ class JobsSpec extends SparkSpec {
     scens.foreach { case (sc, _, k) => assert(sc.terminals.length <= k + 1) }
   }
 
-  test("Scalability.randomPaths leaves no broadcast of the index behind") {
+  test("Scalability.recommendedPaths leaves no broadcast of the index behind") {
     val kg = KGBuilder.build(spark, MLSynth.synthetic(spark, 1200))
     val idx = KgIndex.fromKGraph(kg)
     val held = spark.sparkContext.broadcast(idx)
