@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{CompactGraph, EdgeCost, IndexSort}
+import repro.graph.{CompactGraph, EdgeCost}
 
 /** Algorithm 2 of the paper: PCST-based summary explanations.
   *
@@ -36,9 +36,6 @@ object Pcst {
   private final val Costs = 0     // doubles; first the terminals as sort keys
   private final val Remaining = 1
   private final val Bridges = 0   // ints
-  private final val Perm = 1
-  private final val SortBuf = 2
-  private final val Path = 3
 
   /** @param g       the knowledge-based graph (CSR view)
     * @param cost    edge cost oracle w'(e); the paper's experiments ignore
@@ -59,7 +56,7 @@ object Pcst {
     val keys = ws.doubles(Costs, len)
     var i = 0
     while (i < len) { keys(i) = terminals(i); i += 1 }
-    val byVertex = IndexSort.byKey(keys, len, ws.ints(Perm, len), ws.ints(SortBuf, len))
+    val byVertex = ws.sortByKey(keys, len)
     def vertexAt(k: Int): Int = terminals(byVertex(k))
     def firstOf(k: Int): Boolean = k == 0 || vertexAt(k) != vertexAt(k - 1)
     var distinct = 0
@@ -101,22 +98,12 @@ object Pcst {
       if (a >= 0) { costs(m) = ws.proposalCost(g, a, arcCosts); bridges(m) = g.arcEdge(a); m += 1 }
       s += 1
     }
-    val order = IndexSort.byKey(costs, m, ws.ints(Perm, m), ws.ints(SortBuf, m))
+    val order = ws.sortByKey(costs, m)
 
     val ds = ws.terminalSets
     ds.reset(n)
     ws.clearEdges(g.numEdges)
     var occurrences = 0
-
-    def walkUp(start: Int): Int = { // add path from `start` back to its terminal
-      val pathLen = g.pathLength(ws, start)
-      val path = ws.ints(Path, pathLen)
-      g.writePath(ws, start, path, pathLen)
-      var i = pathLen
-      while (i > 0) { i -= 1; ws.addEdge(path(i)) }
-      pathLen
-    }
-
     var k = 0
     while (k < m) {
       val p = order(k)
@@ -127,10 +114,9 @@ object Pcst {
         val budget = remaining(ra) + remaining(rb) - c
         ds.union(a, b)
         remaining(ds.find(a)) = budget
-        ws.addEdge(be)
-        val lu = walkUp(g.edgeSrc(be))
-        val lv = walkUp(g.edgeDst(be))
-        occurrences += lu + lv + 2 // nodes of the full connection path
+        ws.addEdge(be) // the bridge, then each endpoint's path back to its terminal
+        val edges = 1 + ws.addPath(g, g.edgeSrc(be)) + ws.addPath(g, g.edgeDst(be))
+        occurrences += edges + 1 // nodes of the full connection path
       }
       k += 1
     }

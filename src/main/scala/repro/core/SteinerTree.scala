@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{CompactGraph, EdgeCost, IndexSort}
+import repro.graph.{CompactGraph, EdgeCost}
 
 /** Result of a tree kernel run.
   *
@@ -38,8 +38,6 @@ object SteinerTree {
   private final val PairJ = 1
   private final val PathAt = 2
   private final val Pool = 3
-  private final val Perm = 4
-  private final val SortBuf = 5
 
   /** The kernel on the cost oracle `cost`, read once per arc into the thread's cost buffer. */
   def summarize(g: CompactGraph, cost: EdgeCost, terminals: Array[Int]): TreeResult =
@@ -81,9 +79,9 @@ object SteinerTree {
       while (j < n) {
         val d = ws.dist(terms(j))
         if (d.isFinite) {
-          val end = pathAt(pairs) + g.pathLength(ws, terms(j))
+          val end = pathAt(pairs) + ws.pathLength(g, terms(j))
           if (end > pool.length) pool = ws.ints(Pool, end)
-          g.writePath(ws, terms(j), pool, end)
+          ws.writePath(g, terms(j), pool, end)
           pairDist(pairs) = d; pairI(pairs) = i; pairJ(pairs) = j
           pairs += 1
           pathAt(pairs) = end
@@ -102,7 +100,7 @@ object SteinerTree {
     var occurrences = 0
 
     // Steps 8-14: expand each accepted closure edge into its graph path.
-    val order = IndexSort.byKey(pairDist, pairs, ws.ints(Perm, pairs), ws.ints(SortBuf, pairs))
+    val order = ws.sortByKey(pairDist, pairs)
     var k = 0
     while (k < pairs) {
       val p = order(k)

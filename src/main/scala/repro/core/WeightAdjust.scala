@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{IndexSort, SearchSpace}
+import repro.graph.SearchSpace
 import repro.kg.KgIndex
 import repro.rec.ExplanationPath
 
@@ -30,9 +30,7 @@ object WeightAdjust {
 
   // Scratch while counting: one entry per KG hop.
   private final val HopEdges = 0 // doubles
-  private final val HopPaths = 0 // ints from here on
-  private final val Perm = 1
-  private final val SortBuf = 2
+  private final val HopPaths = 0 // ints
 
   /** Kernel form: writes the edges that occur in `paths`, ascending, to
     * `ws.ints(Edges, m)` and their adjusted weights to
@@ -72,7 +70,7 @@ object WeightAdjust {
       }
       path += 1
     }
-    val order = IndexSort.byKey(hopEdges, hops, ws.ints(Perm, hops), ws.ints(SortBuf, hops))
+    val order = ws.sortByKey(hopEdges, hops)
     val edges = ws.ints(Edges, hops)
     val weights = ws.doubles(Weights, hops)
     val n = math.max(1, anchors).toDouble

@@ -85,12 +85,9 @@ final class CompactGraph(
 
   def degree(v: Int): Int = offsets(v + 1) - offsets(v)
 
-  /** The calling thread's reusable [[SearchSpace]], its per-vertex arrays
-    * grown to this graph's vertices. A thread has one space, whatever
-    * graphs it serves, and concurrent summaries on one broadcast graph
-    * never share search state. Its results stay valid until the thread's
-    * next [[SearchSpace.search]]; its kernel scratch belongs to the kernel
-    * call running on the thread.
+  /** The calling thread's one [[SearchSpace]], shared by every graph the
+    * thread serves, its per-vertex arrays grown to this graph's vertices:
+    * concurrent summaries on one broadcast graph never share search state.
     */
   def workspace: SearchSpace = SearchSpace.perThread.get().fitVertices(numVertices)
 
@@ -106,33 +103,6 @@ final class CompactGraph(
     val (dist, predArc, _) = copyOut(ws)
     SsspResult(source, dist, predArc)
   }
-
-  /** Number of edges on the shortest path from the last
-    * [[SearchSpace.search]]'s sources to `v`.
-    */
-  def pathLength(ws: SearchSpace, v: Int): Int = {
-    var len = 0
-    var cur = v
-    while (ws.predArc(cur) != -1) { cur = otherEnd(arcEdge(ws.predArc(cur)), cur); len += 1 }
-    len
-  }
-
-  /** Writes the edge ids of that path, in source→v order, into
-    * `dst(end - pathLength(ws, v) until end)`, so that callers can pack
-    * many paths into one array without allocating one per path.
-    */
-  def writePath(ws: SearchSpace, v: Int, dst: Array[Int], end: Int): Unit = {
-    var k = end
-    var cur = v
-    while (ws.predArc(cur) != -1) {
-      k -= 1
-      dst(k) = arcEdge(ws.predArc(cur))
-      cur = otherEnd(dst(k), cur)
-    }
-  }
-
-  // The arc into `v` carries edge e, so its other endpoint is the parent.
-  private def otherEnd(e: Int, v: Int): Int = if (edgeSrc(e) == v) edgeDst(e) else edgeSrc(e)
 
   /** Multi-source Dijkstra: Voronoi partition around `sources`, copied out
     * of the calling thread's workspace.

@@ -26,7 +26,7 @@ object GraphStats {
     * CSR, `kg.graph` (oracle-checked in GraphStatsSpec); path-length stats
     * from unit-cost [[SearchSpace.search]]es on it: hop counts.
     */
-  def compute(kg: KGraph, sampleSources: Int = 24, seed: Long = 42L): Stats = {
+  def compute(kg: KGraph, sampleSources: Int = 24): Stats = {
     val g = kg.graph
     def layer(from: Byte, to: Byte): Long =
       (0 until g.numVertices).iterator.filter(v => NodeIds.typeOf(g.ids(v)) == from)
@@ -39,7 +39,7 @@ object GraphStats {
     val n = kg.numNodes
     val density = if (n < 2) 0.0 else total.toDouble / (n.toDouble * (n - 1) / 2.0)
 
-    val rnd = new scala.util.Random(seed)
+    val rnd = new scala.util.Random(42L) // a fixed sample of sources: the tables are deterministic
     val sources = Array.fill(math.min(sampleSources, g.numVertices))(rnd.nextInt(g.numVertices))
     val ws = g.workspace
     val unit = ws.fillCosts(g, EdgeCost.uniform(1.0))

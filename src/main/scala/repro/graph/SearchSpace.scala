@@ -1,8 +1,9 @@
 package repro.graph
 
 /** A thread's search: the one shortest-path loop ([[search]]) on a graph
-  * passed to each call, the cost fills it reads and all the state they
-  * write, so that a warm search allocates nothing.
+  * passed to each call, the cost fills it reads, all the state they
+  * write and the only walks of its shortest-path tree ([[pathLength]],
+  * [[writePath]], [[addPath]]), so that a warm search allocates nothing.
   *
   * A thread has one space ([[CompactGraph.workspace]]), shared by every
   * graph the thread serves. Every buffer follows one sizing rule: it is
@@ -13,9 +14,11 @@ package repro.graph
   *
   * Each per-vertex slot is valid only while its stamp equals the current
   * search's epoch, so starting a search costs O(1), not O(|V|); the
-  * stamps are cleared only when the epoch counter wraps. Each search and
-  * each [[clearMarks]] starts a new epoch, so a stamp left by a search on
-  * another graph never matches, and switching graphs needs no reset.
+  * stamps are cleared only when the epoch counter wraps. No epoch is ever
+  * 0, the stamp of a slot never written, so a space that has not searched
+  * reads every vertex as unreached. Each search and each [[clearMarks]]
+  * starts a new epoch, so a stamp left by a search on another graph never
+  * matches, and switching graphs needs no reset.
   *
   * The heap is a binary min-heap on parallel `Array[Double]` keys and
   * `Array[Int]` vertices. Its sift steps are those of
@@ -28,15 +31,13 @@ package repro.graph
   * not per heap entry.
   *
   * It also holds the tree kernels' per-summary scratch (numbered int and
-  * double buffers, a union–find and the summary edge set), so that a
-  * summary allocates only its result. A kernel owns all of the
-  * scratch for the length of its call; kernels do not nest on a thread, so
-  * `SteinerTree` and `Pcst` share it. ST's Eq. (1) overlay
-  * (`WeightAdjust.overlayTable`) uses the numbered buffers too: it is
-  * written before the kernel runs and dead once [[fillOverlaidCosts]] has
-  * read it. Like the per-vertex arrays, the scratch lives as long as the
-  * thread: it grows geometrically to the largest summary the thread has
-  * run and is never shrunk.
+  * double buffers, a union–find, the summary edge set and the buffers of
+  * the one sort, [[sortByKey]]), so that a summary allocates only its
+  * result. A kernel owns all of the scratch for the length of its call;
+  * kernels do not nest on a thread, so `SteinerTree` and `Pcst` share it.
+  * ST's Eq. (1) overlay (`WeightAdjust.overlayTable`) uses the numbered
+  * buffers too: it is written before the kernel runs and dead once
+  * [[fillOverlaidCosts]] has read it.
   *
   * A vertex mark set, epoch-stamped like the search arrays, dedupes
   * terminals ([[distinctVertices]]) and finds the terminals a summary
@@ -50,9 +51,9 @@ package repro.graph
   * proposal triangle (≥ |E| ints).
   *
   * @param n          the initial length of the per-vertex arrays
-  * @param startEpoch the epoch counters' start (tests start near the wrap)
+  * @param startEpoch the epoch counters' start, ≥ 1 (tests start near the wrap)
   */
-final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
+final class SearchSpace private[graph] (n: Int, startEpoch: Int = 1) {
   private var epoch      = startEpoch
   private var markEpoch  = startEpoch
   private var markedAt   = new Array[Int](n)
@@ -68,18 +69,21 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
   private val intBufs    = Array.fill(SearchSpace.IntBuffers)(new Array[Int](0))
   private val doubleBufs = Array.fill(SearchSpace.DoubleBuffers)(new Array[Double](0))
   private var edgeMarkAt = new Array[Int](0)
-  private var edgeEpoch  = 0
+  private var edgeEpoch  = 1
   private var edgeList   = new Array[Int](16)
   private var edgeCount  = 0
   private var costBuf    = new Array[Double](0)
   private var pairArcs   = new Array[Int](0)
+  private var sortPerm   = new Array[Int](0)
+  private var sortBuf    = new Array[Int](0)
 
   /** Union–find over a summary's terminals; `reset` it before use. */
   val terminalSets = new DisjointSet(0)
 
   /** Grows the per-vertex arrays to at least `numVertices` slots, keeping
     * their contents: a slot past the old length has stamp 0, which no
-    * epoch of a search or a mark set equals.
+    * epoch equals, before the space's first search as after a wrap, so it
+    * reads as unreached and unmarked.
     */
   private[graph] def fitVertices(numVertices: Int): SearchSpace = {
     if (reachedAt.length < numVertices) {
@@ -117,9 +121,7 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
   /** The one-entry cost array of a uniform cost. */
   private val uniformCost = new Array[Double](1)
 
-  /** `Int` buffer number `slot` (`0 until IntBuffers`), with at least
-    * `size` entries. Growing it keeps its contents.
-    */
+  /** `Int` buffer number `slot` (`0 until IntBuffers`), with at least `size` entries; growing keeps them. */
   def ints(slot: Int, size: Int): Array[Int] = {
     val a = intBufs(slot)
     if (a.length >= size) a
@@ -131,6 +133,15 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
     val a = doubleBufs(slot)
     if (a.length >= size) a
     else { val b = java.util.Arrays.copyOf(a, SearchSpace.grownSize(a.length, size)); doubleBufs(slot) = b; b }
+  }
+
+  /** [[IndexSort.byKey]] in this space's sort buffers; the permutation is valid until the thread's next sort. */
+  def sortByKey(keys: Array[Double], n: Int): Array[Int] = {
+    if (sortPerm.length < n) {
+      sortPerm = new Array[Int](SearchSpace.grownSize(sortPerm.length, n))
+      sortBuf = new Array[Int](sortPerm.length)
+    }
+    IndexSort.byKey(keys, n, sortPerm, sortBuf)
   }
 
   /** Empties the summary edge set, an insertion-ordered set of edge ids in
@@ -208,6 +219,40 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
   def owner(v: Int): Int = if (reachedAt(v) == epoch) ownerOf(v) else -1
 
   def settled(v: Int): Boolean = settledAt(v) == epoch
+
+  /** Number of edges on the last [[search]]'s shortest path from its sources to `v`. */
+  def pathLength(g: CompactGraph, v: Int): Int = {
+    var len = 0
+    var cur = v
+    while (predArc(cur) != -1) { cur = parent(g, cur); len += 1 }
+    len
+  }
+
+  /** Writes the edge ids of that path, in source→v order, into
+    * `dst(end - pathLength(g, v) until end)`, so that callers can pack
+    * many paths into one array without allocating one per path.
+    */
+  def writePath(g: CompactGraph, v: Int, dst: Array[Int], end: Int): Unit = {
+    var k = end
+    var cur = v
+    while (predArc(cur) != -1) { k -= 1; dst(k) = g.arcEdge(predArc(cur)); cur = parent(g, cur) }
+  }
+
+  /** Adds the edges of that path to the summary edge set, nearest `v`
+    * first, and returns its edge count.
+    */
+  def addPath(g: CompactGraph, v: Int): Int = {
+    var len = 0
+    var cur = v
+    while (predArc(cur) != -1) { addEdge(g.arcEdge(predArc(cur))); cur = parent(g, cur); len += 1 }
+    len
+  }
+
+  // The arc into v carries its tree edge, so the edge's other endpoint is v's parent.
+  private def parent(g: CompactGraph, v: Int): Int = {
+    val e = g.arcEdge(predArcOf(v))
+    if (g.edgeSrc(e) == v) g.edgeDst(e) else g.edgeSrc(e)
+  }
 
   /** Multi-source Dijkstra over `g`'s undirected view with per-edge costs,
     * the one shortest-path loop of the code base. Results are read from
@@ -461,7 +506,7 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 0) {
 
 object SearchSpace {
   /** Numbers of scratch buffers of each type. */
-  final val IntBuffers = 6
+  final val IntBuffers = 4
   final val DoubleBuffers = 2
 
   /** The one space of each thread, whatever graphs it serves ([[CompactGraph.workspace]]). */

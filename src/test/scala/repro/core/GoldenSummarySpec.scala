@@ -17,6 +17,13 @@ class GoldenSummarySpec extends SparkSpec {
     */
   private val Golden = "0c4920be40e70fb66677d03fa0d4c179"
 
+  /** MD5 of the same grid with each edge set in the order its kernel added
+    * the edges, which [[Golden]] sorts away: a path walk that adds the same
+    * edges in another order changes this hash only. Recorded before the
+    * kernels' path walks moved into the search space.
+    */
+  private val GoldenOrder = "b0e15af54abfda96194013c47d66aec3"
+
   private val methods: Seq[Summarizer.Method] =
     Seq(Summarizer.ST(0.01), Summarizer.ST(1.0), Summarizer.ST(100.0), Summarizer.PCST())
 
@@ -52,9 +59,10 @@ class GoldenSummarySpec extends SparkSpec {
     kg -> scenarios(kg)
   }
 
-  private def fingerprint(results: Seq[Summarizer.Result]): String = {
+  private def fingerprint(results: Seq[Summarizer.Result], kernelOrder: Boolean = false): String = {
     val lines = results.map { r =>
-      val edges = r.subgraph.edges.map(e => s"${e.src}-${e.dst}").sorted.mkString(",")
+      val added = r.subgraph.edges.map(e => s"${e.src}-${e.dst}")
+      val edges = (if (kernelOrder) added else added.sorted).mkString(",")
       s"${r.scenarioId}|${r.method}|${r.k}|${r.subgraph.pathNodeOccurrences}|$edges"
     }.sorted
     val md = java.security.MessageDigest.getInstance("MD5")
@@ -66,6 +74,7 @@ class GoldenSummarySpec extends SparkSpec {
     val serial = tasks.map { case (s, m, k) => Summarizer.summarize(idx, s, m, k) }
     assert(tasks.size == 26 * methods.size)
     assert(fingerprint(serial) == Golden)
+    assert(fingerprint(serial, kernelOrder = true) == GoldenOrder)
   }
 
   test("serial runs in reverse and largest-first order on one thread give the same fingerprint") {
@@ -75,6 +84,7 @@ class GoldenSummarySpec extends SparkSpec {
     for (order <- Seq(tasks.reverse, largestFirst)) {
       val serial = order.map { case (s, m, k) => Summarizer.summarize(idx, s, m, k) }
       assert(fingerprint(serial) == Golden)
+      assert(fingerprint(serial, kernelOrder = true) == GoldenOrder)
     }
     // The thread has one search space for every graph: here each golden
     // summary follows one on the larger graph or on the smaller one, by turns.
@@ -88,6 +98,7 @@ class GoldenSummarySpec extends SparkSpec {
       Summarizer.summarize(idx, s, m, k)
     }
     assert(fingerprint(alternating) == Golden)
+    assert(fingerprint(alternating, kernelOrder = true) == GoldenOrder)
   }
 
   test("a repeated ST or PCST summary allocates less than a closure-sized double[]") {
@@ -165,5 +176,6 @@ class GoldenSummarySpec extends SparkSpec {
     val kgB = spark.sparkContext.broadcast(idx)
     val batch = Summarizer.summarizeBatch(spark.sparkContext, kgB, tasks)
     assert(fingerprint(batch) == Golden)
+    assert(fingerprint(batch, kernelOrder = true) == GoldenOrder)
   }
 }

@@ -18,8 +18,8 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
   private def shortestPath(g: CompactGraph, source: Int, v: Int): Array[Int] = {
     val ws = g.workspace
     ws.search(g, Array(source), 0, 1, ws.fillCosts(g, byWeight(g)), Double.PositiveInfinity)
-    val path = new Array[Int](g.pathLength(ws, v))
-    g.writePath(ws, v, path, path.length)
+    val path = new Array[Int](ws.pathLength(g, v))
+    ws.writePath(g, v, path, path.length)
     path
   }
 
@@ -53,7 +53,7 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     val path = shortestPath(g, g.indexOf(0), g.indexOf(3))
     // Packed behind other entries, the path fills exactly the slots before `end`.
     val packed = Array.fill(path.length + 3)(-7)
-    g.writePath(g.workspace, g.indexOf(3), packed, path.length + 2)
+    g.workspace.writePath(g, g.indexOf(3), packed, path.length + 2)
     assert(packed.sameElements(Array(-7, -7) ++ path :+ -7))
     // Walk the edges and confirm they chain 0 -> ... -> 3.
     var cur = g.indexOf(0)
@@ -63,6 +63,31 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
       cur = if (s == cur) d else s
     }
     assert(cur == g.indexOf(3))
+  }
+
+  test("addPath adds the path's new edges to the edge set, nearest the target first") {
+    val g = diamond
+    val path = shortestPath(g, g.indexOf(0), g.indexOf(3)) // source→target order
+    val ws = g.workspace
+    ws.clearEdges(g.numEdges)
+    assert(ws.addEdge(path(0)))
+    assert(ws.addPath(g, g.indexOf(3)) == path.length)
+    assert(ws.addPath(g, g.indexOf(0)) == 0)
+    assert(ws.edgeIds.sameElements(path(0) +: path.reverse.init))
+  }
+
+  test("a space before its first search reads every vertex unreached, unsettled and unmarked") {
+    def unreached(ws: SearchSpace, n: Int): Boolean = (0 until n).forall { v =>
+      ws.dist(v) == Double.PositiveInfinity && ws.predArc(v) == -1 && ws.owner(v) == -1 &&
+        !ws.settled(v) && !ws.marked(v)
+    }
+    assert(unreached(new SearchSpace(5), 5))
+    // A new thread's space, grown by two graphs' fitVertices before it searches.
+    val larger = CompactGraph.fromTriples((0L until 40L).map(v => (v, v + 1, 1.0)))
+    val seen = new java.util.concurrent.atomic.AtomicReference[(Boolean, Boolean)]
+    val thread = new Thread(() => seen.set((unreached(diamond.workspace, 4), unreached(larger.workspace, 41))))
+    thread.start(); thread.join()
+    assert(seen.get == ((true, true)))
   }
 
   test("dijkstra with unreachable vertices reports +inf") {
