@@ -59,21 +59,25 @@ final class KgIndex(val graph: CompactGraph) extends Serializable {
     while (a < end) { f(graph.arcTarget(a), graph.arcEdge(a)); a += 1 }
   }
 
-  /** Item vertices adjacent to user vertex `u` (= the items `u` rated),
-    * with the connecting edge id, sorted by descending edge weight.
+  /** Neighbours of `v` of node type `t`, with the connecting edge ids,
+    * ranked by descending edge weight (`byWeight`) or by descending
+    * neighbour degree, ties by vertex index; parallel edges keep arc order.
     */
-  def ratedItems(u: Int): Array[(Int, Int)] = {
+  def rankedNeighbors(v: Int, t: Byte, byWeight: Boolean): Array[(Int, Int)] = {
     val buf = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)]
-    foreachNeighbor(u) { (v, e) => if (vtype(v) == NodeType.Item) buf += ((v, e)) }
-    buf.sortBy { case (v, e) => (-graph.edgeWeight(e), v) }.toArray
+    foreachNeighbor(v) { (u, e) => if (vtype(u) == t) buf += ((u, e)) }
+    val ranked =
+      if (byWeight) buf.sortBy { case (u, e) => (-graph.edgeWeight(e), u) }
+      else buf.sortBy { case (u, _) => (-graph.degree(u), u) }
+    ranked.toArray
   }
 
-  /** Set view of the items a user rated (vertex indices). */
-  def ratedItemSet(u: Int): java.util.HashSet[Integer] = {
-    val s = new java.util.HashSet[Integer]()
-    foreachNeighbor(u) { (v, _) => if (vtype(v) == NodeType.Item) s.add(v) }
-    s
-  }
+  /** Item vertices adjacent to user vertex `u` (= the items `u` rated),
+    * with the connecting edge id, sorted by descending edge weight. An item
+    * touches a user only through a rating, so `edgeId(u, i) >= 0` is the
+    * test that `u` rated item `i`.
+    */
+  def ratedItems(u: Int): Array[(Int, Int)] = rankedNeighbors(u, NodeType.Item, byWeight = true)
 }
 
 object KgIndex {

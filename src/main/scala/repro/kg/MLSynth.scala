@@ -107,8 +107,14 @@ object MLSynth {
     when(r < 0.06, 1.0).when(r < 0.17, 2.0).when(r < 0.43, 3.0).when(r < 0.78, 4.0).otherwise(5.0)
   }
 
+  /** Partitions of every generator range. Spark seeds `rand` per partition,
+    * so a range split by the host's CPU count would draw other rows; the
+    * recorded graph and golden hashes were drawn with 4 partitions.
+    */
+  private final val Partitions = 4
+
   private def generate(spark: SparkSession, s: Shape, seed: Long): DatasetTables = {
-    val users = spark.range(1, s.nUsers + 1L).select(
+    val users = spark.range(1, s.nUsers + 1L, 1, Partitions).select(
       col("id") as "user_id",
       when(rand(seed) < s.maleShare, "M").otherwise("F") as "gender",
     )
@@ -117,14 +123,14 @@ object MLSynth {
     // under the popularity skew collapses to one rating, so achieved counts
     // land a few percent under the published targets; the Table II bench
     // reports the achieved numbers next to the paper's.
-    val ratings = spark.range(s.nRatings).select(
+    val ratings = spark.range(0, s.nRatings, 1, Partitions).select(
       (rand(seed + 1) * s.nUsers + 1).cast(LongType) as "user_id",
       popCol(s.nItems, s.itemSkew, seed + 2) as "item_id",
       ratingCol(seed + 3) as "rating",
       (lit(s.tsMin) + (rand(seed + 4) * (s.tsMax - s.tsMin)).cast(LongType)) as "ts",
     ).dropDuplicates("user_id", "item_id")
 
-    val itemExt = spark.range(s.nItemExt).select(
+    val itemExt = spark.range(0, s.nItemExt, 1, Partitions).select(
       (rand(seed + 5) * s.nItems + 1).cast(LongType) as "item_id",
       popCol(s.nExternal, s.extSkew, seed + 6) as "ext_id",
     ).dropDuplicates("item_id", "ext_id")
@@ -132,7 +138,7 @@ object MLSynth {
     // User attributes link into a small "attribute" sub-range of the
     // external id space (age groups, occupations, locations in ML1M).
     val nAttr = math.max(2L, math.min(s.nExternal.toLong, 800L))
-    val userExt = spark.range(s.nUserExt).select(
+    val userExt = spark.range(0, s.nUserExt, 1, Partitions).select(
       (rand(seed + 7) * s.nUsers + 1).cast(LongType) as "user_id",
       popCol(nAttr, s.extSkew, seed + 8) as "ext_id",
     ).dropDuplicates("user_id", "ext_id")

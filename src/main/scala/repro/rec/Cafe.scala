@@ -24,68 +24,46 @@ final class Cafe extends PathRecommender {
 
   override def recommend(kg: KgIndex, userIdx: Int, k: Int, seed: Long): Seq[ExplanationPath] = {
     val g = kg.graph
-    val rated = kg.ratedItemSet(userIdx)
     val topRated = kg.ratedItems(userIdx).take(RatedFan)
 
     // Coarse step: entity-richness of the user's profile decides the
     // preferred template.
-    val entityRich = {
-      var extLinks = 0; var n = 0
-      topRated.foreach { case (i1, _) =>
-        n += 1
-        kg.foreachNeighbor(i1) { (v, _) => if (kg.vtype(v) == NodeType.External) extLinks += 1 }
-      }
-      n > 0 && extLinks.toDouble / n >= 5.0
-    }
+    val extLinks = topRated.map { case (i1, _) => KgIndex.typedDegree(g, i1, NodeType.External) }.sum
+    val entityRich = topRated.nonEmpty && extLinks.toDouble / topRated.length >= 5.0
     val boostT1 = if (entityRich) 0.0 else 0.5
     val boostT2 = if (entityRich) 0.5 else 0.0
 
-    val best = scala.collection.mutable.HashMap.empty[Int, (Vector[Int], Double)]
-    def offer(item: Int, path: Vector[Int], score: Double): Unit = {
-      val cur = best.get(item)
-      if (cur.isEmpty || cur.get._2 < score) best(item) = (path, score)
-    }
+    val best = new PathRecommender.BestPaths
+    def unrated(i2: Int): Boolean = kg.edgeId(userIdx, i2) < 0
 
     topRated.foreach { case (i1, e1) =>
       val w1 = g.edgeWeight(e1)
 
       // T1: via a co-rating user.
-      val coUsers = neighborsOf(kg, i1, NodeType.User, MidFan, byWeight = true)
+      val coUsers = kg.rankedNeighbors(i1, NodeType.User, byWeight = true).take(MidFan)
         .filter(_._1 != userIdx)
       coUsers.foreach { case (u2, e2) =>
         val w2 = g.edgeWeight(e2)
-        neighborsOf(kg, u2, NodeType.Item, LeafFan, byWeight = true).foreach { case (i2, e3) =>
-          if (i2 != i1 && !rated.contains(i2))
-            offer(i2, Vector(userIdx, i1, u2, i2), w1 + w2 + g.edgeWeight(e3) + boostT1)
+        kg.rankedNeighbors(u2, NodeType.Item, byWeight = true).take(LeafFan).foreach { case (i2, e3) =>
+          if (i2 != i1 && unrated(i2))
+            best.offer(i2, Vector(userIdx, i1, u2, i2), w1 + w2 + g.edgeWeight(e3) + boostT1)
         }
       }
 
       // T2: via a shared external entity. External edges have w_A = 0, so
       // the fine step ranks entities and related items by hub degree, as
       // CAFE's symbolic module ranks by embedding affinity.
-      neighborsOf(kg, i1, NodeType.External, MidFan, byWeight = false).foreach { case (x, _) =>
-        neighborsOf(kg, x, NodeType.Item, LeafFan, byWeight = false).foreach { case (i2, _) =>
-          if (i2 != i1 && !rated.contains(i2)) {
+      kg.rankedNeighbors(i1, NodeType.External, byWeight = false).take(MidFan).foreach { case (x, _) =>
+        kg.rankedNeighbors(x, NodeType.Item, byWeight = false).take(LeafFan).foreach { case (i2, _) =>
+          if (i2 != i1 && unrated(i2)) {
             val pop = 1e-3 * math.log1p(g.degree(i2).toDouble)
-            offer(i2, Vector(userIdx, i1, x, i2), w1 + pop + boostT2)
+            best.offer(i2, Vector(userIdx, i1, x, i2), w1 + pop + boostT2)
           }
         }
       }
     }
 
-    PathRecommender.topK(g, best, k)
-  }
-
-  /** Top neighbours of `v` of type `t`, ranked by edge weight or degree. */
-  private def neighborsOf(kg: KgIndex, v: Int, t: Byte, limit: Int,
-                          byWeight: Boolean): Seq[(Int, Int)] = {
-    val g = kg.graph
-    val buf = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)]
-    kg.foreachNeighbor(v) { (u, e) => if (kg.vtype(u) == t) buf += ((u, e)) }
-    val sorted =
-      if (byWeight) buf.sortBy { case (u, e) => (-g.edgeWeight(e), u) }
-      else buf.sortBy { case (u, _) => (-g.degree(u), u) }
-    sorted.take(limit).toSeq
+    best.topK(g, k)
   }
 }
 

@@ -44,18 +44,29 @@ object PathRecommender {
       .toMap
   }
 
-  /** The simulators' shared last step: from the best-scoring path per
-    * candidate item (vertex indices from the user to the item, and its
-    * score), the top `k` items by (−score, item), ranked from 1.
+  /** The best-scoring path per candidate item of one `recommend` call, and
+    * the simulators' shared last step that ranks them.
     */
-  private[rec] def topK(g: CompactGraph, best: Iterable[(Int, (Seq[Int], Double))],
-                        k: Int): Seq[ExplanationPath] =
-    best.toSeq
-      .sortBy { case (item, (_, score)) => (-score, item) }
-      .take(k)
-      .zipWithIndex
-      .map { case ((_, (path, _)), i) =>
-        val nodes = path.map(g.ids(_)).toVector
-        ExplanationPath(nodes.head, nodes.last, i + 1, nodes)
-      }
+  private[rec] final class BestPaths {
+    private val best = scala.collection.mutable.HashMap.empty[Int, (Seq[Int], Double)]
+
+    /** Keeps `path` (vertex indices from the user to `item`) if it is the
+      * first offered for `item` or scores strictly higher than the kept one.
+      */
+    def offer(item: Int, path: Seq[Int], score: Double): Unit = {
+      val cur = best.get(item)
+      if (cur.isEmpty || cur.get._2 < score) best(item) = (path, score)
+    }
+
+    /** The top `k` items by (−score, item), ranked from 1. */
+    def topK(g: CompactGraph, k: Int): Seq[ExplanationPath] =
+      best.toSeq
+        .sortBy { case (item, (_, score)) => (-score, item) }
+        .take(k)
+        .zipWithIndex
+        .map { case ((_, (path, _)), i) =>
+          val nodes = path.map(g.ids(_)).toVector
+          ExplanationPath(nodes.head, nodes.last, i + 1, nodes)
+        }
+  }
 }

@@ -19,25 +19,23 @@ final class Pgpr extends PathRecommender {
 
   override def recommend(kg: KgIndex, userIdx: Int, k: Int, seed: Long): Seq[ExplanationPath] = {
     val g = kg.graph
-    val rated = kg.ratedItemSet(userIdx)
 
     // Beam of partial paths: (vertices walked, cumulative weight score).
     var beam: Vector[(List[Int], Double)] = Vector((List(userIdx), 0.0))
     val hops = 3
     // Best-scoring complete path per candidate item.
-    val best = scala.collection.mutable.HashMap.empty[Int, (List[Int], Double)]
+    val best = new PathRecommender.BestPaths
 
     for (_ <- 1 to hops) {
       val next = scala.collection.mutable.ArrayBuffer.empty[(List[Int], Double)]
       beam.foreach { case (path, score) =>
         val u = path.head
-        val visited = path.toSet
         // Expand the top-`Fanout` neighbours by edge weight; external edges
         // carry w_A = 0, so break their ties by hub degree — PGPR's learned
         // embeddings likewise favour well-connected entities.
         val cand = scala.collection.mutable.ArrayBuffer.empty[(Int, Double, Double)]
         kg.foreachNeighbor(u) { (v, e) =>
-          if (!visited.contains(v))
+          if (!path.contains(v))
             cand += ((v, g.edgeWeight(e), g.degree(v).toDouble))
         }
         cand.sortBy { case (v, w, d) => (-w, -d, v) }
@@ -46,16 +44,13 @@ final class Pgpr extends PathRecommender {
             val np = v :: path
             val ns = score + w + 1e-6 * math.log1p(d)
             next += ((np, ns))
-            if (kg.vtype(v) == NodeType.Item && !rated.contains(v)) {
-              val cur = best.get(v)
-              if (cur.isEmpty || cur.get._2 < ns) best(v) = (np, ns)
-            }
+            if (kg.vtype(v) == NodeType.Item && kg.edgeId(userIdx, v) < 0) best.offer(v, np.reverse, ns)
           }
       }
       beam = next.sortBy { case (p, s) => (-s, p.head) }.take(BeamWidth).toVector
     }
 
-    PathRecommender.topK(g, best.view.mapValues { case (revPath, score) => (revPath.reverse, score) }, k)
+    best.topK(g, k)
   }
 }
 

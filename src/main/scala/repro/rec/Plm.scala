@@ -21,12 +21,11 @@ abstract class LmPathRecommender(val eta: Double) extends PathRecommender {
 
   override def recommend(kg: KgIndex, userIdx: Int, k: Int, seed: Long): Seq[ExplanationPath] = {
     val g = kg.graph
-    val rated = kg.ratedItemSet(userIdx)
     val ratedArr = kg.ratedItems(userIdx)
     if (ratedArr.isEmpty) return Seq.empty
     val rng = new scala.util.Random(seed * 1_000_003L + userIdx)
 
-    val best = scala.collection.mutable.HashMap.empty[Int, (Vector[Int], Double)]
+    val best = new PathRecommender.BestPaths
 
     var s = 0
     while (s < LmPathRecommender.Samples) {
@@ -39,19 +38,17 @@ abstract class LmPathRecommender(val eta: Double) extends PathRecommender {
         // Hop 3: an item.
         val i2 = nextNode(kg, x, Set(NodeType.Item), rng, exclude = i1)
         i2.foreach { item =>
-          if (!rated.contains(item) && kg.vtype(item) == NodeType.Item) {
+          if (kg.edgeId(userIdx, item) < 0) {
             val score = math.log1p(g.degree(i1).toDouble) +
               math.log1p(g.degree(x).toDouble) + math.log1p(g.degree(item).toDouble)
-            val cur = best.get(item)
-            if (cur.isEmpty || cur.get._2 < score)
-              best(item) = (Vector(userIdx, i1, x, item), score)
+            best.offer(item, Vector(userIdx, i1, x, item), score)
           }
         }
       }
       s += 1
     }
 
-    PathRecommender.topK(g, best, k)
+    best.topK(g, k)
   }
 
   private def weightedRated(g: repro.graph.CompactGraph,

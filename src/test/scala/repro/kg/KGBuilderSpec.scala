@@ -143,4 +143,16 @@ class KGBuilderSpec extends SparkSpec {
     val kg = KGBuilder.build(spark, tinyTables)
     assert(kg.nodes.select("id").distinct().count() == kg.nodes.count())
   }
+
+  test("the scale-0.05 ML1M-sim graph has its recorded vertex count, edge count and edge-triple hash") {
+    // Sorted, so the edge-id order does not enter. Every golden fingerprint
+    // of the recommenders and the summaries rests on this graph.
+    val g = KGBuilder.build(spark, MLSynth.ml1m(spark, scale = 0.05)).graph
+    val triples = (0 until g.numEdges).map(e => (g.ids(g.edgeSrc(e)), g.ids(g.edgeDst(e)), g.edgeWeight(e))).sorted
+    val md = java.security.MessageDigest.getInstance("MD5")
+    triples.foreach { case (s, d, w) => md.update(s"$s,$d,$w\n".getBytes("UTF-8")) }
+    val hash = md.digest().map(b => f"$b%02x").mkString
+    info(s"${g.numVertices} vertices, ${g.numEdges} edges, triples $hash")
+    assert((g.numVertices, g.numEdges, hash) == (1000, 11425, "4c5136a935f7d474a3b066ece4d46569"))
+  }
 }

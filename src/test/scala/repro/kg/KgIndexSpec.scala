@@ -76,12 +76,23 @@ class KgIndexSpec extends SparkSpec with PropSupport {
     assert(ws.zip(ws.tail).forall { case (a, b) => a >= b })
   }
 
-  test("ratedItemSet matches ratedItems") {
+  test("rankedNeighbors by degree: the type's neighbours, ordered by (−degree, vertex)") {
     val g = idx.graph
-    val u = (0 until g.numVertices).find(v => idx.vtype(v) == NodeType.User && g.degree(v) > 0).get
-    val set = idx.ratedItemSet(u)
-    val arr = idx.ratedItems(u).map(_._1).toSet
-    assert(arr == (0 until g.numVertices).filter(v => set.contains(v)).toSet)
+    val hub = (0 until g.numVertices).filter(v => idx.vtype(v) == NodeType.External).maxBy(g.degree)
+    val byDegree = idx.rankedNeighbors(hub, NodeType.Item, byWeight = false).map(_._1).toSeq
+    assert(byDegree.size == KgIndex.typedDegree(g, hub, NodeType.Item) && byDegree.size > 2)
+    assert(byDegree == byDegree.sortBy(v => (-g.degree(v), v)))
+  }
+
+  test("edgeId(u, v) >= 0 holds on exactly the item vertices of ratedItems(u), for every user u") {
+    val g = idx.graph
+    val items = (0 until g.numVertices).filter(v => idx.vtype(v) == NodeType.Item)
+    val users = (0 until g.numVertices).filter(v => idx.vtype(v) == NodeType.User)
+    assert(users.nonEmpty && items.nonEmpty)
+    users.foreach { u =>
+      val rated = idx.ratedItems(u).map(_._1).toSet
+      assert(items.filter(v => idx.edgeId(u, v) >= 0).toSet == rated, s"user vertex $u")
+    }
   }
 
   test("byPopularity is sorted by descending degree within each type") {

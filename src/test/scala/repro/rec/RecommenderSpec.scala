@@ -112,6 +112,23 @@ class RecommenderSpec extends SparkSpec {
     }
   }
 
+  test("BestPaths: equal scores keep the first path, a higher one replaces it, topK ranks by (−score, item)") {
+    val g = repro.graph.CompactGraph.fromTriples(Seq((1L, 2L, 1.0), (1L, 3L, 1.0), (1L, 4L, 1.0)))
+    val Seq(u, a, b, c) = Seq(1L, 2L, 3L, 4L).map(g.indexOf)
+    assert(a < b) // a and b tie on score below, so a ranks first
+    def path(rank: Int, nodes: Long*) = ExplanationPath(nodes.head, nodes.last, rank, nodes.toVector)
+    val best = new PathRecommender.BestPaths
+    best.offer(b, Seq(u, a, b), 1.0)
+    best.offer(b, Seq(u, c, b), 1.0) // ties: the first offered stays
+    best.offer(c, Seq(u, c), 0.5)
+    best.offer(c, Seq(u, a, c), 2.0) // strictly higher: replaces
+    best.offer(a, Seq(u, a), 1.0)
+    best.offer(a, Seq(u, b, a), 0.5) // lower: ignored
+    val all = best.topK(g, 10) // fewer than k candidates: all of them
+    assert(all == Seq(path(1, 1L, 2L, 4L), path(2, 1L, 2L), path(3, 1L, 2L, 3L)))
+    assert(best.topK(g, 2) == all.take(2))
+  }
+
   test("ExplanationPath validates its endpoints") {
     intercept[IllegalArgumentException](
       ExplanationPath(NodeIds.user(1), NodeIds.item(1), 1, Vector(NodeIds.user(2), NodeIds.item(1))))
