@@ -84,7 +84,9 @@ class KgIndexSpec extends SparkSpec with PropSupport {
     assert(byDegree == byDegree.sortBy(v => (-g.degree(v), v)))
   }
 
-  test("edgeId(u, v) >= 0 holds on exactly the item vertices of ratedItems(u), for every user u") {
+  // The rated-item set is the items u has an edge to: edgeId(u, v) >= 0 holds on exactly the
+  // item vertices of ratedItems(u), for every user u.
+  test("ratedItemSet matches ratedItems") {
     val g = idx.graph
     val items = (0 until g.numVertices).filter(v => idx.vtype(v) == NodeType.Item)
     val users = (0 until g.numVertices).filter(v => idx.vtype(v) == NodeType.User)
