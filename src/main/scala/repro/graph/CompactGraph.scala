@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.apache.spark.sql.DataFrame
+import scala.collection.mutable.ArrayBuilder
 
 /** Per-edge cost oracle of the tree kernels' `EdgeCost` entries (PCST's
   * uniform cost, the `dijkstra`/`voronoi` adapters). Indexed by *edge id*
@@ -142,11 +143,36 @@ object CompactGraph {
     * weight: double). The collect is deliberate: the CSR is the broadcast
     * payload for executor-parallel summarisation (see DESIGN.md §3), and
     * `KGraph.graph` runs it once per knowledge graph.
+    *
+    * Each partition comes back as three primitive columns, read from
+    * Spark's internal rows, in the row order of `collect()`; no `Row` is
+    * built. A null src, dst or weight is rejected on the driver, naming
+    * its row.
     */
   def fromEdges(edges: DataFrame): CompactGraph = {
-    val rows = edges.selectExpr("cast(src as long)", "cast(dst as long)", "cast(weight as double)")
+    val parts = edges.selectExpr("cast(src as long)", "cast(dst as long)", "cast(weight as double)")
+      .queryExecution.toRdd
+      .mapPartitionsWithIndex { (p, rows) =>
+        val (src, dst, w) = (new ArrayBuilder.ofLong, new ArrayBuilder.ofLong, new ArrayBuilder.ofDouble)
+        var nullRow: String = null
+        var i = 0
+        while (nullRow == null && rows.hasNext) {
+          val r = rows.next()
+          if (r.isNullAt(0) || r.isNullAt(1) || r.isNullAt(2)) {
+            def field(c: Int) = if (r.isNullAt(c)) "null" else if (c == 2) r.getDouble(c).toString else r.getLong(c).toString
+            nullRow = s"edge row $i of partition $p, (src, dst, weight) = (${field(0)}, ${field(1)}, ${field(2)}), " +
+              "has a null; every edge needs a src, a dst and a weight"
+          } else {
+            src += r.getLong(0); dst += r.getLong(1); w += r.getDouble(2)
+          }
+          i += 1
+        }
+        Iterator.single((src.result(), dst.result(), w.result(), nullRow))
+      }
       .collect()
-    assemble(rows.map(_.getLong(0)), rows.map(_.getLong(1)), rows.map(_.getDouble(2)))
+    parts.foreach(part => require(part._4 == null, part._4))
+    assemble(Array.concat(parts.map(_._1).toSeq: _*), Array.concat(parts.map(_._2).toSeq: _*),
+      Array.concat(parts.map(_._3).toSeq: _*))
   }
 
   // Every kernel adds edge costs derived from these weights, so one NaN or

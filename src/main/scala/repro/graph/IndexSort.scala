@@ -3,9 +3,10 @@ package repro.graph
 /** The one sort on the summary path, on primitive arrays: the Kruskal
   * orders of ST's metric closure and PCST's boundary proposals, PCST's
   * terminals grouped by vertex, and the Eq. (1) overlay's hops grouped by
-  * edge. Nothing here boxes or allocates: the JDK's primitive sort
+  * edge. `byKey` neither boxes nor allocates: the JDK's primitive sort
   * allocates a run array for some inputs (a long[] of ≥ 44 entries whose
-  * first ascending run has ≥ 16).
+  * first ascending run has ≥ 16). The recommenders rank by two keys with
+  * `byKeys`, which allocates its result and scratch but boxes nothing.
   */
 object IndexSort {
 
@@ -45,5 +46,24 @@ object IndexSort {
       width *= 2
     }
     from
+  }
+
+  /** The permutation of `0 until n` that orders by (`primary`, `secondary`),
+    * each compared with `java.lang.Double.compare`, full ties in index
+    * order: a stable sort by `secondary`, then a stable sort of that order
+    * by `primary`. This is the order of a stable `sortBy` on the tuple key
+    * (primary, secondary) over Doubles, or over Ints, which are exact as
+    * doubles.
+    */
+  def byKeys(primary: Array[Double], secondary: Array[Double], n: Int): Array[Int] = {
+    val (perm, buf) = (new Array[Int](n), new Array[Int](n))
+    val bySecondary = java.util.Arrays.copyOf(byKey(secondary, n, perm, buf), n)
+    val keys = new Array[Double](n)
+    var i = 0
+    while (i < n) { keys(i) = primary(bySecondary(i)); i += 1 }
+    val order = byKey(keys, n, perm, buf)
+    i = 0
+    while (i < n) { order(i) = bySecondary(order(i)); i += 1 }
+    order
   }
 }

@@ -1,6 +1,6 @@
 package repro.kg
 
-import repro.graph.CompactGraph
+import repro.graph.{CompactGraph, IndexSort}
 
 /** Broadcastable query-side view of a knowledge-based graph: the CSR
   * structure plus per-vertex node types, degree-ordered popularity ranks
@@ -52,32 +52,40 @@ final class KgIndex(val graph: CompactGraph) extends Serializable {
     if (e < 0) None else Some(e)
   }
 
-  /** Iterate the undirected neighbourhood of `v` as (neighbor, edgeId). */
-  @inline def foreachNeighbor(v: Int)(f: (Int, Int) => Unit): Unit = {
+  /** The arcs from `v` to its neighbours of node type `t`, ranked by
+    * descending edge weight (`byWeight`) or by descending neighbour degree,
+    * ties by neighbour vertex index; parallel edges keep arc order.
+    * `graph.arcTarget(a)` is the neighbour of arc `a`, `graph.arcEdge(a)`
+    * its edge.
+    */
+  def rankedNeighbors(v: Int, t: Byte, byWeight: Boolean): Array[Int] = {
+    val arcs = new Array[Int](graph.degree(v))
+    var n = 0
     var a = graph.offsets(v)
-    val end = graph.offsets(v + 1)
-    while (a < end) { f(graph.arcTarget(a), graph.arcEdge(a)); a += 1 }
+    while (a < graph.offsets(v + 1)) {
+      if (vtype(graph.arcTarget(a)) == t) { arcs(n) = a; n += 1 }
+      a += 1
+    }
+    val rank = new Array[Double](n)
+    val vertex = new Array[Double](n)
+    var i = 0
+    while (i < n) {
+      val u = graph.arcTarget(arcs(i))
+      rank(i) = if (byWeight) -graph.edgeWeight(graph.arcEdge(arcs(i))) else -graph.degree(u).toDouble
+      vertex(i) = u
+      i += 1
+    }
+    val order = IndexSort.byKeys(rank, vertex, n)
+    i = 0
+    while (i < n) { order(i) = arcs(order(i)); i += 1 }
+    order
   }
 
-  /** Neighbours of `v` of node type `t`, with the connecting edge ids,
-    * ranked by descending edge weight (`byWeight`) or by descending
-    * neighbour degree, ties by vertex index; parallel edges keep arc order.
+  /** The arcs from user vertex `u` to the items it rated, ranked by
+    * descending edge weight. An item touches a user only through a rating,
+    * so `edgeId(u, i) >= 0` is the test that `u` rated item `i`.
     */
-  def rankedNeighbors(v: Int, t: Byte, byWeight: Boolean): Array[(Int, Int)] = {
-    val buf = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)]
-    foreachNeighbor(v) { (u, e) => if (vtype(u) == t) buf += ((u, e)) }
-    val ranked =
-      if (byWeight) buf.sortBy { case (u, e) => (-graph.edgeWeight(e), u) }
-      else buf.sortBy { case (u, _) => (-graph.degree(u), u) }
-    ranked.toArray
-  }
-
-  /** Item vertices adjacent to user vertex `u` (= the items `u` rated),
-    * with the connecting edge id, sorted by descending edge weight. An item
-    * touches a user only through a rating, so `edgeId(u, i) >= 0` is the
-    * test that `u` rated item `i`.
-    */
-  def ratedItems(u: Int): Array[(Int, Int)] = rankedNeighbors(u, NodeType.Item, byWeight = true)
+  def ratedItems(u: Int): Array[Int] = rankedNeighbors(u, NodeType.Item, byWeight = true)
 }
 
 object KgIndex {

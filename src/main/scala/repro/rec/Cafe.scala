@@ -28,36 +28,49 @@ final class Cafe extends PathRecommender {
 
     // Coarse step: entity-richness of the user's profile decides the
     // preferred template.
-    val extLinks = topRated.map { case (i1, _) => KgIndex.typedDegree(g, i1, NodeType.External) }.sum
+    val extLinks = topRated.map(a => KgIndex.typedDegree(g, g.arcTarget(a), NodeType.External)).sum
     val entityRich = topRated.nonEmpty && extLinks.toDouble / topRated.length >= 5.0
     val boostT1 = if (entityRich) 0.0 else 0.5
     val boostT2 = if (entityRich) 0.5 else 0.0
 
     val best = new PathRecommender.BestPaths
+    // The path offered: user, rated item, co-rating user or entity, item.
+    val path = Array(userIdx, 0, 0, 0)
     def unrated(i2: Int): Boolean = kg.edgeId(userIdx, i2) < 0
 
-    topRated.foreach { case (i1, e1) =>
-      val w1 = g.edgeWeight(e1)
+    topRated.foreach { a1 =>
+      val i1 = g.arcTarget(a1)
+      val w1 = g.edgeWeight(g.arcEdge(a1))
+      path(1) = i1
 
       // T1: via a co-rating user.
-      val coUsers = kg.rankedNeighbors(i1, NodeType.User, byWeight = true).take(MidFan)
-        .filter(_._1 != userIdx)
-      coUsers.foreach { case (u2, e2) =>
-        val w2 = g.edgeWeight(e2)
-        kg.rankedNeighbors(u2, NodeType.Item, byWeight = true).take(LeafFan).foreach { case (i2, e3) =>
-          if (i2 != i1 && unrated(i2))
-            best.offer(i2, Vector(userIdx, i1, u2, i2), w1 + w2 + g.edgeWeight(e3) + boostT1)
+      kg.rankedNeighbors(i1, NodeType.User, byWeight = true).take(MidFan).foreach { a2 =>
+        val u2 = g.arcTarget(a2)
+        if (u2 != userIdx) {
+          val w2 = g.edgeWeight(g.arcEdge(a2))
+          path(2) = u2
+          kg.rankedNeighbors(u2, NodeType.Item, byWeight = true).take(LeafFan).foreach { a3 =>
+            val i2 = g.arcTarget(a3)
+            if (i2 != i1 && unrated(i2)) {
+              path(3) = i2
+              best.offer(path, 0, 4, w1 + w2 + g.edgeWeight(g.arcEdge(a3)) + boostT1)
+            }
+          }
         }
       }
 
       // T2: via a shared external entity. External edges have w_A = 0, so
       // the fine step ranks entities and related items by hub degree, as
       // CAFE's symbolic module ranks by embedding affinity.
-      kg.rankedNeighbors(i1, NodeType.External, byWeight = false).take(MidFan).foreach { case (x, _) =>
-        kg.rankedNeighbors(x, NodeType.Item, byWeight = false).take(LeafFan).foreach { case (i2, _) =>
+      kg.rankedNeighbors(i1, NodeType.External, byWeight = false).take(MidFan).foreach { a2 =>
+        val x = g.arcTarget(a2)
+        path(2) = x
+        kg.rankedNeighbors(x, NodeType.Item, byWeight = false).take(LeafFan).foreach { a3 =>
+          val i2 = g.arcTarget(a3)
           if (i2 != i1 && unrated(i2)) {
             val pop = 1e-3 * math.log1p(g.degree(i2).toDouble)
-            best.offer(i2, Vector(userIdx, i1, x, i2), w1 + pop + boostT2)
+            path(3) = i2
+            best.offer(path, 0, 4, w1 + pop + boostT2)
           }
         }
       }

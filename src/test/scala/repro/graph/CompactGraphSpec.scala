@@ -580,6 +580,38 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     }
   }
 
+  test("fromEdges over 8 partitions, some empty, equals fromTriples over a collect(), edge by edge") {
+    val spark = repro.SparkSpec.shared
+    val edges = spark.range(0, 3000, 1, numPartitions = 8)
+      .filter("id < 700 or id >= 2250") // partitions 2 to 5 empty
+      .selectExpr("id % 97 as src", "1000 + (id * 31) % 113 as dst", "cast(id % 5 as double) * 0.5 as weight")
+    assert(edges.rdd.getNumPartitions == 8)
+    val rows = edges.collect()
+    val expected = CompactGraph.fromTriples(rows.map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toSeq)
+    val got = CompactGraph.fromEdges(edges)
+    assert(got.numEdges == rows.length)
+    assert(got.edgeSrc.sameElements(expected.edgeSrc))
+    assert(got.edgeDst.sameElements(expected.edgeDst))
+    assert(got.edgeWeight.sameElements(expected.edgeWeight))
+    assert(got.ids.sameElements(expected.ids))
+    assert(got.offsets.sameElements(expected.offsets))
+    assert(got.arcTarget.sameElements(expected.arcTarget) && got.arcEdge.sameElements(expected.arcEdge))
+  }
+
+  test("fromEdges rejects a null src, dst or weight on the driver, naming the row") {
+    val spark = repro.SparkSpec.shared
+    import spark.implicits._
+    Seq(
+      (Option.empty[Long], Option(20L), Option(1.5), "(null, 20, 1.5)"),
+      (Option(30L), Option.empty[Long], Option(2.5), "(30, null, 2.5)"),
+      (Option(30L), Option(40L), Option.empty[Double], "(30, 40, null)"),
+    ).foreach { case (src, dst, weight, named) =>
+      val edges = Seq((Option(10L), Option(20L), Option(1.0)), (src, dst, weight)).toDF("src", "dst", "weight")
+      val err = intercept[IllegalArgumentException](CompactGraph.fromEdges(edges))
+      assert(err.getMessage.contains(named) && err.getMessage.contains("null"), err.getMessage)
+    }
+  }
+
   test("fromTriples and fromEdges build identical graphs") {
     val spark = repro.SparkSpec.shared
     import spark.implicits._

@@ -57,6 +57,19 @@ class IndexSortSpec extends AnyFunSuite with PropSupport {
     }, minTests = 200)
   }
 
+  test("property: byKeys gives the order of a stable sortBy on the (primary, secondary) tuple") {
+    val gen = for {
+      n <- Gen.choose(0, 40)
+      primary <- Gen.listOfN(n, tiedKey)
+      secondary <- Gen.listOfN(n, Gen.choose(0, 5))
+    } yield primary.zip(secondary)
+    checkProp(Prop.forAll(gen) { keys =>
+      val order = IndexSort.byKeys(keys.map(_._1).toArray, keys.map(_._2.toDouble).toArray, keys.length)
+      val byTuple = keys.indices.sortBy(i => keys(i)) // java.lang.Double.compare on the Double, stable
+      order.toSeq == byTuple
+    }, minTests = 200)
+  }
+
   /** The order PCST sorted its terminals in before `byKey`: (vertex, position) packed into a long. */
   private def packedOrder(vertices: Array[Int]): Array[Int] = {
     val packed = Array.tabulate(vertices.length)(i => (vertices(i).toLong << 32) | i)

@@ -68,20 +68,41 @@ class KgIndexSpec extends SparkSpec with PropSupport {
     val u = (0 until g.numVertices).find(v => idx.vtype(v) == NodeType.User && g.degree(v) > 2).get
     val rated = idx.ratedItems(u)
     assert(rated.nonEmpty)
-    rated.foreach { case (v, e) =>
+    rated.foreach { a =>
+      val (v, e) = (g.arcTarget(a), g.arcEdge(a))
       assert(idx.vtype(v) == NodeType.Item)
       assert(g.edgeSrc(e) == u || g.edgeDst(e) == u)
     }
-    val ws = rated.map { case (_, e) => g.edgeWeight(e) }
+    val ws = rated.map(a => g.edgeWeight(g.arcEdge(a)))
     assert(ws.zip(ws.tail).forall { case (a, b) => a >= b })
   }
 
   test("rankedNeighbors by degree: the type's neighbours, ordered by (−degree, vertex)") {
     val g = idx.graph
     val hub = (0 until g.numVertices).filter(v => idx.vtype(v) == NodeType.External).maxBy(g.degree)
-    val byDegree = idx.rankedNeighbors(hub, NodeType.Item, byWeight = false).map(_._1).toSeq
+    val byDegree = idx.rankedNeighbors(hub, NodeType.Item, byWeight = false).map(g.arcTarget(_)).toSeq
     assert(byDegree.size == KgIndex.typedDegree(g, hub, NodeType.Item) && byDegree.size > 2)
     assert(byDegree == byDegree.sortBy(v => (-g.degree(v), v)))
+  }
+
+  test("property: rankedNeighbors is a stable sortBy on (−weight or −degree, vertex) of the typed arcs") {
+    val types = Seq(NodeType.User, NodeType.Item, NodeType.External)
+    checkProp(Prop.forAll(TestGraphs.multigraphGen(14)) { triples =>
+      // Node ids 1..n+1 spread over the three id ranges, weights with ties and w_A = 0.
+      val rnd = new scala.util.Random(triples.size)
+      def id(v: Long) = Seq(NodeIds.user _, NodeIds.item _, NodeIds.external _)((v % 3).toInt)(v + 1)
+      val g = CompactGraph.fromTriples(triples.map { case (a, b, _) => (id(a), id(b), rnd.nextInt(3).toDouble) })
+      val k = new KgIndex(g)
+      (0 until g.numVertices).forall { v =>
+        types.forall { t =>
+          val arcs = (g.offsets(v) until g.offsets(v + 1)).filter(a => k.vtype(g.arcTarget(a)) == t)
+          val byWeight = arcs.sortBy(a => (-g.edgeWeight(g.arcEdge(a)), g.arcTarget(a)))
+          val byDegree = arcs.sortBy(a => (-g.degree(g.arcTarget(a)), g.arcTarget(a)))
+          k.rankedNeighbors(v, t, byWeight = true).toSeq == byWeight &&
+            k.rankedNeighbors(v, t, byWeight = false).toSeq == byDegree
+        }
+      }
+    }, minTests = 100)
   }
 
   // The rated-item set is the items u has an edge to: edgeId(u, v) >= 0 holds on exactly the
@@ -92,7 +113,7 @@ class KgIndexSpec extends SparkSpec with PropSupport {
     val users = (0 until g.numVertices).filter(v => idx.vtype(v) == NodeType.User)
     assert(users.nonEmpty && items.nonEmpty)
     users.foreach { u =>
-      val rated = idx.ratedItems(u).map(_._1).toSet
+      val rated = idx.ratedItems(u).map(g.arcTarget(_)).toSet
       assert(items.filter(v => idx.edgeId(u, v) >= 0).toSet == rated, s"user vertex $u")
     }
   }

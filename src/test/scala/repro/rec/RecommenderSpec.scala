@@ -44,7 +44,7 @@ class RecommenderSpec extends SparkSpec {
 
     test(s"${rec.getClass.getSimpleName}: recommended items are not already rated") {
       someUsers.foreach { u =>
-        val rated = idx.ratedItems(u).map { case (v, _) => idx.graph.ids(v) }.toSet
+        val rated = idx.ratedItems(u).map(a => idx.graph.ids(idx.graph.arcTarget(a))).toSet
         rec.recommend(idx, u, 10, seed = 3L).foreach(p => assert(!rated.contains(p.item)))
       }
     }
@@ -118,12 +118,14 @@ class RecommenderSpec extends SparkSpec {
     assert(a < b) // a and b tie on score below, so a ranks first
     def path(rank: Int, nodes: Long*) = ExplanationPath(nodes.head, nodes.last, rank, nodes.toVector)
     val best = new PathRecommender.BestPaths
-    best.offer(b, Seq(u, a, b), 1.0)
-    best.offer(b, Seq(u, c, b), 1.0) // ties: the first offered stays
-    best.offer(c, Seq(u, c), 0.5)
-    best.offer(c, Seq(u, a, c), 2.0) // strictly higher: replaces
-    best.offer(a, Seq(u, a), 1.0)
-    best.offer(a, Seq(u, b, a), 0.5) // lower: ignored
+    // Each path at an offset in a larger row, as PGPR's beam offers them.
+    def offer(path: Seq[Int], score: Double): Unit = best.offer(Array(-1, -1) ++ path :+ -1, 2, path.length, score)
+    offer(Seq(u, a, b), 1.0)
+    offer(Seq(u, c, b), 1.0) // ties: the first offered stays
+    offer(Seq(u, c), 0.5)
+    offer(Seq(u, a, c), 2.0) // strictly higher: replaces
+    offer(Seq(u, a), 1.0)
+    offer(Seq(u, b, a), 0.5) // lower: ignored
     val all = best.topK(g, 10) // fewer than k candidates: all of them
     assert(all == Seq(path(1, 1L, 2L, 4L), path(2, 1L, 2L), path(3, 1L, 2L, 3L)))
     assert(best.topK(g, 2) == all.take(2))

@@ -21,15 +21,22 @@ object ReferenceRecommenders {
       case "pearlm" => lm(eta = 0.0)
     }
 
+  /** Iterates the undirected neighbourhood of `v` as (neighbour, edge id), in arc order. */
+  private def foreachNeighbor(kg: KgIndex, v: Int)(f: (Int, Int) => Unit): Unit = {
+    val g = kg.graph
+    var a = g.offsets(v)
+    while (a < g.offsets(v + 1)) { f(g.arcTarget(a), g.arcEdge(a)); a += 1 }
+  }
+
   private def ratedItemSet(kg: KgIndex, u: Int): java.util.HashSet[Integer] = {
     val s = new java.util.HashSet[Integer]()
-    kg.foreachNeighbor(u) { (v, _) => if (kg.vtype(v) == NodeType.Item) s.add(v) }
+    foreachNeighbor(kg, u) { (v, _) => if (kg.vtype(v) == NodeType.Item) s.add(v) }
     s
   }
 
   private def ratedItems(kg: KgIndex, u: Int): Array[(Int, Int)] = {
     val buf = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)]
-    kg.foreachNeighbor(u) { (v, e) => if (kg.vtype(v) == NodeType.Item) buf += ((v, e)) }
+    foreachNeighbor(kg, u) { (v, e) => if (kg.vtype(v) == NodeType.Item) buf += ((v, e)) }
     buf.sortBy { case (v, e) => (-kg.graph.edgeWeight(e), v) }.toArray
   }
 
@@ -55,7 +62,7 @@ object ReferenceRecommenders {
         val u = path.head
         val visited = path.toSet
         val cand = scala.collection.mutable.ArrayBuffer.empty[(Int, Double, Double)]
-        kg.foreachNeighbor(u) { (v, e) =>
+        foreachNeighbor(kg, u) { (v, e) =>
           if (!visited.contains(v))
             cand += ((v, g.edgeWeight(e), g.degree(v).toDouble))
         }
@@ -84,7 +91,7 @@ object ReferenceRecommenders {
       var extLinks = 0; var n = 0
       topRated.foreach { case (i1, _) =>
         n += 1
-        kg.foreachNeighbor(i1) { (v, _) => if (kg.vtype(v) == NodeType.External) extLinks += 1 }
+        foreachNeighbor(kg, i1) { (v, _) => if (kg.vtype(v) == NodeType.External) extLinks += 1 }
       }
       n > 0 && extLinks.toDouble / n >= 5.0
     }
@@ -98,7 +105,7 @@ object ReferenceRecommenders {
     }
     def neighborsOf(v: Int, t: Byte, limit: Int, byWeight: Boolean): Seq[(Int, Int)] = {
       val buf = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)]
-      kg.foreachNeighbor(v) { (u, e) => if (kg.vtype(u) == t) buf += ((u, e)) }
+      foreachNeighbor(kg, v) { (u, e) => if (kg.vtype(u) == t) buf += ((u, e)) }
       val sorted =
         if (byWeight) buf.sortBy { case (u, e) => (-g.edgeWeight(e), u) }
         else buf.sortBy { case (u, _) => (-g.degree(u), u) }
@@ -155,7 +162,7 @@ object ReferenceRecommenders {
         }
       } else {
         val buf = scala.collection.mutable.ArrayBuffer.empty[Int]
-        kg.foreachNeighbor(v) { (u, _) => if (types.contains(kg.vtype(u)) && u != exclude) buf += u }
+        foreachNeighbor(kg, v) { (u, _) => if (types.contains(kg.vtype(u)) && u != exclude) buf += u }
         if (buf.isEmpty) None else Some(buf(rng.nextInt(buf.length)))
       }
 

@@ -13,10 +13,11 @@ temporary `git worktree`, removed at the end (or taken from `--parent-dir`).
 Prints, per workload and metric, the median and quartiles of each side,
 the relative change of the medians, in how many pairs the change was
 better and a verdict (see `verdict`), for the gated metrics of
-BENCHMARK.json, with their `bound` and `better`, plus `st_ms_p50` and
-`pcst_ms_p50`, which have no bound. A workload that BENCHMARK.json declares
-is compared on all of them; any other (`harness-grid`) on those its runs
-print (see `compared`). Exits 1 if any run is not `correct`, fails or lacks
+BENCHMARK.json, with their `bound` and `better`, plus `st_ms_p50`,
+`pcst_ms_p50`, `alloc_mb_per_summary` and `summaries_per_s`, which have no
+bound (see `better`). A workload that BENCHMARK.json declares is compared on
+all of them, the last two where its runs print them; any other
+(`harness-grid`) on those its runs print (see `compared`). Exits 1 if any run is not `correct`, fails or lacks
 a metric it must print, or if any verdict is `worse` or `unresolved` (see
 `refusals`), and leaves perfbench/ and BENCHMARK.json alone.
 """
@@ -27,7 +28,11 @@ import subprocess
 import sys
 import tempfile
 
-EXTRA = ("st_ms_p50", "pcst_ms_p50")
+# Compared with no bound, so their verdict is `gain` or `same`, by the
+# direction that is better. A declared workload must print EXTRA; OPTIONAL
+# is compared wherever the runs print it.
+EXTRA = {"st_ms_p50": "lower", "pcst_ms_p50": "lower"}
+OPTIONAL = {"alloc_mb_per_summary": "lower", "summaries_per_s": "higher"}
 
 
 def seeds(spec):
@@ -141,20 +146,45 @@ def compared(workload, printed, names, declared):
     """The metrics of `names` that a run of `workload` must print and is compared on.
 
     A workload that BENCHMARK.json declares (`declared`) is gated on every
-    one of them, so one that its run did not print is an error. Any other
-    workload is compared on the ones its run printed: `harness-grid` prints
+    one of them but those in OPTIONAL, so one of those that its run did not
+    print is an error. OPTIONAL metrics, and on any other workload all of
+    `names`, are compared where the run printed them: `harness-grid` prints
     no `st_alloc_mb` or `pcst_alloc_mb`.
 
-    >>> names = ["setup_s", "st_alloc_mb", "pcst_alloc_mb", "st_ms_p50"]
+    >>> names = ["setup_s", "st_alloc_mb", "pcst_alloc_mb", "st_ms_p50",
+    ...          "alloc_mb_per_summary", "summaries_per_s"]
     >>> declared = ["uc-ksweep", "user-group"]
     >>> compared("uc-ksweep", {"setup_s": 2.1, "st_ms_p50": 9.5}, names, declared)
     ['setup_s', 'st_alloc_mb', 'pcst_alloc_mb', 'st_ms_p50']
-    >>> compared("harness-grid", {"setup_s": 2.1, "eval.harness_s": 1.6}, names, declared)
-    ['setup_s']
+    >>> compared("uc-ksweep", {"setup_s": 2.1, "summaries_per_s": 80.0}, names, declared)
+    ['setup_s', 'st_alloc_mb', 'pcst_alloc_mb', 'st_ms_p50', 'summaries_per_s']
+    >>> compared("harness-grid", {"setup_s": 2.1, "eval.harness_s": 1.6, "alloc_mb_per_summary": 0.4,
+    ...                           "summaries_per_s": 120.0}, names, declared)
+    ['setup_s', 'alloc_mb_per_summary', 'summaries_per_s']
     """
     if workload in declared:
-        return list(names)
+        return [m for m in names if m not in OPTIONAL or m in printed]
     return [m for m in names if m in printed]
+
+
+def better(metric, gated):
+    """Whether lower or higher is better: BENCHMARK.json's `better` for a gated
+    metric (`gated`, by name), else EXTRA's or OPTIONAL's, else lower.
+
+    >>> gated = {"setup_s": {"better": "lower", "bound": 0.25}}
+    >>> [better(m, gated) for m in ("setup_s", "pcst_ms_p50", "alloc_mb_per_summary", "summaries_per_s")]
+    ['lower', 'lower', 'lower', 'higher']
+    >>> p = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 101.0]
+    >>> verdict(p, [x * 1.3 for x in p], None, better("summaries_per_s", gated))
+    'gain'
+    >>> verdict(p, [x * 0.5 for x in p], None, better("summaries_per_s", gated))
+    'same'
+    >>> verdict(p, [x * 0.5 for x in p], None, better("alloc_mb_per_summary", gated))
+    'gain'
+    """
+    if metric in gated:
+        return gated[metric].get("better", "lower")
+    return {**EXTRA, **OPTIONAL}.get(metric, "lower")
 
 
 def run(checkout, workload, seed, seconds):
@@ -190,7 +220,7 @@ def main():
         bench = json.load(f)
     gated = {m["name"]: m for m in bench["end_to_end"]}
     declared = [w["name"] for w in bench["workloads"]]
-    names = list(gated) + [m for m in EXTRA if m not in gated]
+    names = list(gated) + [m for m in list(EXTRA) + list(OPTIONAL) if m not in gated]
     workloads = a.workloads.split(",")
 
     worktree = None
@@ -224,7 +254,7 @@ def main():
             subprocess.run(["git", "worktree", "remove", "--force", worktree], cwd=root)
 
     print()
-    print(f"{'workload':<12} {'metric':<14} {'parent median [q1, q3]':<40} "
+    print(f"{'workload':<12} {'metric':<20} {'parent median [q1, q3]':<40} "
           f"{'change median [q1, q3]':<40} {'change':>7}  better  verdict")
     verdicts = {}
     for w in workloads:
@@ -232,13 +262,13 @@ def main():
             parent_values, change_values = values[(w, "parent", m)], values[(w, "change", m)]
             if not parent_values:
                 continue
-            better = gated.get(m, {}).get("better", "lower")
-            v = verdict(parent_values, change_values, gated.get(m, {}).get("bound"), better)
-            n_better = wins(parent_values, change_values, better)
+            direction = better(m, gated)
+            v = verdict(parent_values, change_values, gated.get(m, {}).get("bound"), direction)
+            n_better = wins(parent_values, change_values, direction)
             pq1, pm, pq3 = quartiles(parent_values)
             cq1, cm, cq3 = quartiles(change_values)
             rel = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
-            print(f"{w:<12} {m:<14} {f'{pm:.6g} [{pq1:.6g}, {pq3:.6g}]':<40} "
+            print(f"{w:<12} {m:<20} {f'{pm:.6g} [{pq1:.6g}, {pq3:.6g}]':<40} "
                   f"{f'{cm:.6g} [{cq1:.6g}, {cq3:.6g}]':<40} {rel:>7}  {f'{n_better}/{len(parent_values)}':<6}  {v}")
             verdicts[f"{w} {m}"] = v
     refused = refusals(verdicts)
