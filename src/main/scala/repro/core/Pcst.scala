@@ -37,7 +37,9 @@ object Pcst {
   private final val Remaining = 1
   private final val Bridges = 0   // ints
 
-  /** @param g       the knowledge-based graph (CSR view)
+  /** [[kernel]] on the cost oracle `cost` with its result copied out.
+    *
+    * @param g       the knowledge-based graph (CSR view)
     * @param cost    edge cost oracle w'(e); the paper's experiments ignore
     *                edge weights and use a uniform cost (§V-A)
     * @param terminals terminal vertex indices (deduplicated internally)
@@ -49,42 +51,58 @@ object Pcst {
                 prizes: Array[Double]): TreeResult = {
     require(terminals.length == prizes.length, "one prize per terminal")
     val ws = g.workspace
+    val terms = ws.terminals(terminals.length)
+    System.arraycopy(terminals, 0, terms, 0, terminals.length)
+    val occurrences = kernel(g, ws.fillCosts(g, cost), terms, terminals.length, prizes)
+    TreeResult(ws.edgeIds, occurrences)
+  }
+
+  /** The kernel on the terminals `terms(0 until len)`, repeats allowed, and
+    * arc costs `arcCosts` as [[repro.graph.SearchSpace.fillCosts]] returns
+    * them. It rewrites `terms` as the distinct terminals in ascending vertex
+    * order, which are the regions' order, leaves the summary's edges in the
+    * workspace's edge set and returns their [[TreeResult.pathNodeOccurrences]].
+    *
+    * @param prizes p(t) aligned with `terms(0 until len)`, or one entry that
+    *               every terminal has; a terminal given twice keeps the
+    *               larger prize. A NaN or negative prize throws, naming its
+    *               position
+    */
+  def kernel(g: CompactGraph, arcCosts: Array[Double], terms: Array[Int], len: Int,
+             prizes: Array[Double]): Int = {
+    val ws = g.workspace
+    ws.clearEdges(g.numEdges)
     // Distinct terminals in ascending vertex order, each with the largest
     // of its prizes (the first of equal ones): a stable sort by vertex
-    // groups a terminal's occurrences in input order.
-    val len = terminals.length
+    // groups a terminal's occurrences in input order. The keys hold the
+    // vertices while `terms` is rewritten.
     val keys = ws.doubles(Costs, len)
     var i = 0
-    while (i < len) { keys(i) = terminals(i); i += 1 }
+    while (i < len) { keys(i) = terms(i); i += 1 }
     val byVertex = ws.sortByKey(keys, len)
-    def vertexAt(k: Int): Int = terminals(byVertex(k))
-    def firstOf(k: Int): Boolean = k == 0 || vertexAt(k) != vertexAt(k - 1)
-    var distinct = 0
-    i = 0
-    while (i < len) { if (firstOf(i)) distinct += 1; i += 1 }
-    val terms = new Array[Int](distinct)
+    def vertexAt(k: Int): Int = keys(byVertex(k)).toInt
     // p(t) per distinct terminal, then each region's unspent budget while merging.
-    val remaining = ws.doubles(Remaining, distinct)
+    val remaining = ws.doubles(Remaining, len)
+    val perTerminal = if (prizes.length == 1) 0 else -1 // index mask: a lone prize is every terminal's
     var t = -1
     i = 0
     while (i < len) {
-      val p = prizes(byVertex(i))
+      val p = prizes(byVertex(i) & perTerminal)
       // A NaN prize would make the growth radius NaN and the search reach nothing.
       if (!(p >= 0)) throw new IllegalArgumentException(s"prize at position ${byVertex(i)} is $p")
-      if (firstOf(i)) { t += 1; terms(t) = vertexAt(i); remaining(t) = p }
+      if (i == 0 || vertexAt(i) != vertexAt(i - 1)) { t += 1; terms(t) = vertexAt(i); remaining(t) = p }
       else if (remaining(t) < p) remaining(t) = p
       i += 1
     }
-    if (terms.length <= 1) return TreeResult(Array.emptyIntArray, terms.length)
+    val n = t + 1
+    if (n <= 1) return n
 
     // A connection dearer than the total prize pool can never be accepted,
     // so the growth radius is capped at the pool (prunes huge graphs).
-    val n = terms.length
     var budgetCap = 0.0
     i = 0
     while (i < n) { budgetCap += remaining(i); i += 1 }
-    val arcCosts = ws.fillCosts(g, cost)
-    ws.search(g, terms, 0, n, arcCosts, budgetCap)
+    ws.search(g, terms, 0, n, n, arcCosts, budgetCap)
 
     // Kruskal-ordered prize-aware merging, in (cost, a, b) order: the proposal
     // triangle's slots ascend with the region pair (a, b), and the sort is stable.
@@ -102,7 +120,6 @@ object Pcst {
 
     val ds = ws.terminalSets
     ds.reset(n)
-    ws.clearEdges(g.numEdges)
     var occurrences = 0
     var k = 0
     while (k < m) {
@@ -120,6 +137,6 @@ object Pcst {
       }
       k += 1
     }
-    TreeResult(ws.edgeIds, occurrences)
+    occurrences
   }
 }

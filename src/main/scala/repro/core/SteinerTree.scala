@@ -2,7 +2,10 @@ package repro.core
 
 import repro.graph.{CompactGraph, EdgeCost}
 
-/** Result of a tree kernel run.
+/** Result of a tree kernel run through its public entry
+  * ([[SteinerTree.summarize]], [[Pcst.summarize]]), copied out of the
+  * calling thread's workspace; `Summarizer` reads the kernel's edge set in
+  * the workspace instead and builds none.
   *
   * @param edgeIds              distinct edge ids of the summary subgraph, in
   *                             the order the kernel added them; a fresh
@@ -39,18 +42,29 @@ object SteinerTree {
   private final val PathAt = 2
   private final val Pool = 3
 
-  /** The kernel on the cost oracle `cost`, read once per arc into the thread's cost buffer. */
-  def summarize(g: CompactGraph, cost: EdgeCost, terminals: Array[Int]): TreeResult =
-    summarize(g, g.workspace.fillCosts(g, cost), terminals)
-
-  /** The kernel on arc costs `arcCosts`, as a fill of the calling thread's
-    * workspace returns them ([[repro.graph.SearchSpace.fillCosts]], [[WeightAdjust.costs]]).
-    * Repeated terminals count once, at their first occurrence.
+  /** [[kernel]] on the cost oracle `cost`, read once per arc into the
+    * thread's cost buffer, with its result copied out. Repeated terminals
+    * count once, at their first occurrence.
     */
-  def summarize(g: CompactGraph, arcCosts: Array[Double], terminals: Array[Int]): TreeResult = {
+  def summarize(g: CompactGraph, cost: EdgeCost, terminals: Array[Int]): TreeResult = {
     val ws = g.workspace
-    val terms = ws.distinctVertices(terminals, terminals.length)
-    if (terms.length <= 1) return TreeResult(Array.emptyIntArray, terms.length)
+    val terms = ws.terminals(terminals.length)
+    System.arraycopy(terminals, 0, terms, 0, terminals.length)
+    val n = ws.distinctVertices(terms, terminals.length)
+    val occurrences = kernel(g, ws.fillCosts(g, cost), terms, n)
+    TreeResult(ws.edgeIds, occurrences)
+  }
+
+  /** The kernel on the distinct terminals `terms(0 until n)` and arc costs
+    * `arcCosts`, as a fill of the calling thread's workspace returns them
+    * ([[repro.graph.SearchSpace.fillCosts]], [[WeightAdjust.costs]]). It
+    * leaves the summary's edges in the workspace's edge set and returns
+    * their [[TreeResult.pathNodeOccurrences]]; `terms` is only read.
+    */
+  def kernel(g: CompactGraph, arcCosts: Array[Double], terms: Array[Int], n: Int): Int = {
+    val ws = g.workspace
+    ws.clearEdges(g.numEdges)
+    if (n <= 1) return n
 
     // Step 1-2: metric closure. One SSSP per terminal in the calling
     // thread's search space, early-stopped once the later terminals are
@@ -63,7 +77,6 @@ object SteinerTree {
     // source→terminal edge ids in one shared pool, so the Θ(|T|²) closure
     // costs no object per pair and, once the buffers have grown, no
     // allocation.
-    val n = terms.length
     val bound = Math.toIntExact(n.toLong * (n - 1) / 2)
     val pairDist = ws.doubles(PairDist, bound)
     val pairI = ws.ints(PairI, bound)
@@ -74,7 +87,7 @@ object SteinerTree {
     var pairs = 0
     var i = 0
     while (i < n - 1) {
-      ws.search(g, terms, i, i + 1, arcCosts, Double.PositiveInfinity)
+      ws.search(g, terms, i, i + 1, n, arcCosts, Double.PositiveInfinity)
       var j = i + 1
       while (j < n) {
         val d = ws.dist(terms(j))
@@ -96,7 +109,6 @@ object SteinerTree {
     // index sort is stable, so the order is (d, i, j).
     val ds = ws.terminalSets
     ds.reset(n)
-    ws.clearEdges(g.numEdges)
     var occurrences = 0
 
     // Steps 8-14: expand each accepted closure edge into its graph path.
@@ -117,6 +129,6 @@ object SteinerTree {
       }
       k += 1
     }
-    TreeResult(ws.edgeIds, occurrences)
+    occurrences
   }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
-import repro.graph.{CompactGraph, EdgeCost}
+import repro.graph.{CompactGraph, EdgeCost, SearchSpace}
 import repro.kg.KgIndex
 
 /** Orchestrates summary computation: scenario → terminal resolution →
@@ -65,9 +65,11 @@ object Summarizer {
     * fills the cost buffer once per summary, by a gather of the base costs
     * and a patch of the overlay edges' arcs ([[WeightAdjust.costs]]), and
     * all of its searches ([[repro.graph.SearchSpace.search]]) read it.
-    * So a warm summary allocates this result, its subgraph's arrays and
-    * edges, and little more: the terminal index array, the one iterator
-    * over ST's paths, and for PCST its prizes and sorted terminals.
+    * The terminal indices are written into the space's terminal buffer,
+    * PCST's prize is one value, and the kernel's edge set is read where the
+    * kernel left it. So a warm summary allocates this result, its
+    * subgraph's arrays and edges, and for ST the one iterator over its
+    * paths: nothing per terminal.
     */
   final case class Result(scenarioId: String, family: String, method: String, k: Int,
                           subgraph: Subgraph, timeNs: Long, memModelBytes: Long)
@@ -85,17 +87,19 @@ object Summarizer {
         pathsUnion(kg, scenario)
 
       case ST(lambda) =>
-        val terms = terminalIndices(g, scenario.terminals)
-        mem = terms.length.toLong * g.numVertices * 12L
-        val costs = WeightAdjust.costs(kg, scenario.paths, scenario.anchors, lambda, g.workspace)
-        resolve(kg, scenario, terms, SteinerTree.summarize(g, costs, terms), keepIsolated = true)
+        val ws = g.workspace
+        val n = terminalIndices(g, scenario.terminals, ws)
+        mem = n.toLong * g.numVertices * 12L
+        val costs = WeightAdjust.costs(kg, scenario.paths, scenario.anchors, lambda, ws)
+        val occurrences = SteinerTree.kernel(g, costs, ws.terminals(n), n)
+        resolve(g, scenario, ws, n, occurrences, keepIsolated = true)
 
       case pcst: PCST =>
-        val terms = terminalIndices(g, scenario.terminals)
+        val ws = g.workspace
+        val n = terminalIndices(g, scenario.terminals, ws)
         mem = g.numVertices * 16L
-        val prizes = new Array[Double](terms.length)
-        java.util.Arrays.fill(prizes, 1.0)
-        resolve(kg, scenario, terms, Pcst.summarize(g, pcst.cost, terms, prizes), keepIsolated = false)
+        val occurrences = Pcst.kernel(g, ws.fillCosts(g, pcst.cost), ws.terminals(n), n, UnitPrize)
+        resolve(g, scenario, ws, n, occurrences, keepIsolated = false)
     }
     Result(scenario.id, scenario.family, method.label, k, sub, System.nanoTime() - t0, mem)
   }
@@ -129,12 +133,15 @@ object Summarizer {
     )
   }
 
-  /** Vertex indices of the terminals that are in G, each once, in order of
-    * first occurrence (ST's Kruskal tie-break follows this order). The one
-    * array it allocates is the result when every terminal is in G.
+  /** PCST's prize, 1 for every terminal: one value, never written. */
+  private val UnitPrize = Array(1.0)
+
+  /** Writes the vertex indices of the terminals that are in G to the front
+    * of `ws`'s terminal buffer, each once, in order of first occurrence
+    * (ST's Kruskal tie-break follows this order), and returns their number.
     */
-  private def terminalIndices(g: CompactGraph, terminals: Array[Long]): Array[Int] = {
-    val idx = new Array[Int](terminals.length)
+  private def terminalIndices(g: CompactGraph, terminals: Array[Long], ws: SearchSpace): Int = {
+    val idx = ws.terminals(terminals.length)
     var n = 0
     var i = 0
     while (i < terminals.length) {
@@ -142,51 +149,51 @@ object Summarizer {
       if (v >= 0) { idx(n) = v; n += 1 }
       i += 1
     }
-    g.workspace.distinctVertices(idx, n)
+    ws.distinctVertices(idx, n)
   }
 
-  /** Turn a kernel result (edge ids) back into a node-id [[Subgraph]].
-    * `terms` are the scenario's terminal indices from [[terminalIndices]].
+  /** Turn the kernel's edge set in `ws` back into a node-id [[Subgraph]].
+    * The scenario's `n` terminal indices are in `ws`'s terminal buffer, as
+    * the kernel left them.
     */
-  private def resolve(kg: KgIndex, scenario: Scenario, terms: Array[Int], res: TreeResult,
+  private def resolve(g: CompactGraph, scenario: Scenario, ws: SearchSpace, n: Int, occurrences: Int,
                       keepIsolated: Boolean): Subgraph = {
-    val g = kg.graph
-    val ids = res.edgeIds
-    val edges = new Array[SummaryEdge](ids.length)
+    val edges = new Array[SummaryEdge](ws.edgeCount)
     var k = 0
-    while (k < ids.length) {
-      val e = ids(k)
+    while (k < edges.length) {
+      val e = ws.edge(k)
       edges(k) = SummaryEdge(g.ids(g.edgeSrc(e)), g.ids(g.edgeDst(e)), g.edgeWeight(e))
       k += 1
     }
     // Only terminals that exist in G can appear in V_S; a terminal outside
     // the graph (e.g. a hallucinated PLM item) is dropped entirely.
-    val isolated = if (keepIsolated) uncovered(g, terms, ids) else Array.emptyLongArray
+    val isolated = if (keepIsolated) uncovered(g, ws, n) else Array.emptyLongArray
     Subgraph(
       terminals = scenario.terminals,
       edges = edges,
       allEdges = edges,
       isolated = isolated,
-      pathNodeOccurrences = res.pathNodeOccurrences,
+      pathNodeOccurrences = occurrences,
     )
   }
 
-  /** Node ids of the terminals that no edge of `edgeIds` touches, in `terms`
-    * order; the covered vertices are marked in the thread's vertex mark set.
+  /** Node ids of the `n` terminals in `ws`'s terminal buffer that no edge of
+    * its edge set touches, in buffer order; the covered vertices are marked
+    * in its vertex mark set.
     */
-  private def uncovered(g: CompactGraph, terms: Array[Int], edgeIds: Array[Int]): Array[Long] = {
-    val ws = g.workspace
+  private def uncovered(g: CompactGraph, ws: SearchSpace, n: Int): Array[Long] = {
+    val terms = ws.terminals(n)
     ws.clearMarks()
     var k = 0
-    while (k < edgeIds.length) { ws.mark(g.edgeSrc(edgeIds(k))); ws.mark(g.edgeDst(edgeIds(k))); k += 1 }
+    while (k < ws.edgeCount) { ws.mark(g.edgeSrc(ws.edge(k))); ws.mark(g.edgeDst(ws.edge(k))); k += 1 }
     var count = 0
     k = 0
-    while (k < terms.length) { if (!ws.marked(terms(k))) count += 1; k += 1 }
+    while (k < n) { if (!ws.marked(terms(k))) count += 1; k += 1 }
     if (count == 0) return Array.emptyLongArray
     val out = new Array[Long](count)
     var m = 0
     k = 0
-    while (k < terms.length) { if (!ws.marked(terms(k))) { out(m) = g.ids(terms(k)); m += 1 }; k += 1 }
+    while (k < n) { if (!ws.marked(terms(k))) { out(m) = g.ids(terms(k)); m += 1 }; k += 1 }
     out
   }
 }

@@ -100,7 +100,7 @@ final class CompactGraph(
   def dijkstra(source: Int, cost: EdgeCost, targets: Array[Int] = null): SsspResult = {
     val ws = workspace
     val terms = if (targets == null) Array(source) else source +: targets
-    ws.search(this, terms, 0, 1, ws.fillCosts(this, cost), Double.PositiveInfinity)
+    ws.search(this, terms, 0, 1, terms.length, ws.fillCosts(this, cost), Double.PositiveInfinity)
     val (dist, predArc, _) = copyOut(ws)
     SsspResult(source, dist, predArc)
   }
@@ -116,7 +116,7 @@ final class CompactGraph(
   def voronoi(sources: Array[Int], cost: EdgeCost,
               maxDist: Double = Double.PositiveInfinity): (Array[Double], Array[Int], Array[Int]) = {
     val ws = workspace
-    ws.search(this, sources, 0, sources.length, ws.fillCosts(this, cost), maxDist)
+    ws.search(this, sources, 0, sources.length, sources.length, ws.fillCosts(this, cost), maxDist)
     copyOut(ws)
   }
 

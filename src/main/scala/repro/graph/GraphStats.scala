@@ -45,7 +45,7 @@ object GraphStats {
     val unit = ws.fillCosts(g, EdgeCost.uniform(1.0))
     var sumDist = 0.0; var nPairs = 0L; var diameter = 0
     sources.foreach { s =>
-      ws.search(g, Array(s), 0, 1, unit, Double.PositiveInfinity)
+      ws.search(g, Array(s), 0, 1, 1, unit, Double.PositiveInfinity)
       var v = 0
       while (v < g.numVertices) {
         val h = ws.dist(v)

@@ -39,10 +39,13 @@ package repro.graph
   * buffers too: it is written before the kernel runs and dead once
   * [[fillOverlaidCosts]] has read it.
   *
-  * A vertex mark set, epoch-stamped like the search arrays, dedupes
-  * terminals ([[distinctVertices]]) and finds the terminals a summary
-  * leaves isolated. A search keeps its settle-set there, so marks are
-  * valid until the thread's next [[search]].
+  * A summary's terminal indices have their own buffer ([[terminals]]),
+  * which its caller fills before the kernel runs, and a kernel leaves its
+  * edge set in the space ([[edgeCount]], [[edge]]) for the caller to read,
+  * so neither is copied. A vertex mark set, epoch-stamped like the search
+  * arrays, dedupes terminals ([[distinctVertices]]) and finds the
+  * terminals a summary leaves isolated. A search keeps its settle-set
+  * there, so marks are valid until the thread's next [[search]].
   *
   * Two more pieces are sized by a graph's edges, not by a summary: the
   * cost buffer that [[fillCosts]] or [[fillOverlaidCosts]] writes once per
@@ -71,7 +74,8 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 1) {
   private var edgeMarkAt = new Array[Int](0)
   private var edgeEpoch  = 1
   private var edgeList   = new Array[Int](16)
-  private var edgeCount  = 0
+  private var edgeSize   = 0
+  private var termBuf    = new Array[Int](0)
   private var costBuf    = new Array[Double](0)
   private var pairArcs   = new Array[Int](0)
   private var sortPerm   = new Array[Int](0)
@@ -128,6 +132,18 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 1) {
     else { val b = java.util.Arrays.copyOf(a, SearchSpace.grownSize(a.length, size)); intBufs(slot) = b; b }
   }
 
+  /** The summary's terminal buffer, with at least `size` entries; growing
+    * keeps them. A summary's caller writes its terminal indices here before
+    * its kernel runs and reads them after it: ST leaves them as they are,
+    * PCST rewrites them as its distinct terminals in ascending order. No
+    * overlay, sort or kernel scratch uses it.
+    */
+  def terminals(size: Int): Array[Int] = {
+    if (termBuf.length < size)
+      termBuf = java.util.Arrays.copyOf(termBuf, SearchSpace.grownSize(termBuf.length, size))
+    termBuf
+  }
+
   /** `Double` buffer number `slot` (`0 until DoubleBuffers`), as [[ints]]. */
   def doubles(slot: Int, size: Int): Array[Double] = {
     val a = doubleBufs(slot)
@@ -152,7 +168,7 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 1) {
     if (edgeMarkAt.length < numEdges) { edgeMarkAt = new Array[Int](numEdges); edgeEpoch = 0 }
     if (edgeEpoch == Int.MaxValue) { java.util.Arrays.fill(edgeMarkAt, 0); edgeEpoch = 0 }
     edgeEpoch += 1
-    edgeCount = 0
+    edgeSize = 0
   }
 
   /** Adds edge `e` to the summary edge set; false if it is already in. */
@@ -160,17 +176,23 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 1) {
     if (edgeMarkAt(e) == edgeEpoch) false
     else {
       edgeMarkAt(e) = edgeEpoch
-      if (edgeCount == edgeList.length)
-        edgeList = java.util.Arrays.copyOf(edgeList, SearchSpace.grownSize(edgeCount, edgeCount + 1))
-      edgeList(edgeCount) = e
-      edgeCount += 1
+      if (edgeSize == edgeList.length)
+        edgeList = java.util.Arrays.copyOf(edgeList, SearchSpace.grownSize(edgeSize, edgeSize + 1))
+      edgeList(edgeSize) = e
+      edgeSize += 1
       true
     }
+
+  /** Size of the summary edge set. */
+  def edgeCount: Int = edgeSize
+
+  /** Edge `k` of the summary edge set, `0 <= k < edgeCount`, in insertion order. */
+  def edge(k: Int): Int = edgeList(k)
 
   /** The summary edge set in insertion order, as a fresh array that no
     * later use of this space can change.
     */
-  def edgeIds: Array[Int] = java.util.Arrays.copyOf(edgeList, edgeCount)
+  def edgeIds: Array[Int] = java.util.Arrays.copyOf(edgeList, edgeSize)
 
   /** Empties the vertex mark set, a set of vertex indices valid until the
     * thread's next [[search]], which keeps its settle-set there. Membership
@@ -188,25 +210,17 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 1) {
 
   def marked(v: Int): Boolean = markedAt(v) == markEpoch
 
-  /** The distinct vertex indices of `a(0 until n)`, each at its first
-    * occurrence, in the order of those occurrences: `a` itself when
-    * `n == a.length` and no vertex repeats, a fresh array otherwise. Leaves
-    * them in the mark set.
+  /** Moves the distinct vertex indices of `a(0 until n)`, each at its
+    * first occurrence, to the front of `a`, in the order of those
+    * occurrences, and returns their number; `a` past it is left as it was.
+    * Leaves them in the mark set.
     */
-  def distinctVertices(a: Array[Int], n: Int): Array[Int] = {
+  def distinctVertices(a: Array[Int], n: Int): Int = {
     clearMarks()
     var count = 0
     var i = 0
-    while (i < n) { if (mark(a(i))) count += 1; i += 1 }
-    if (count == a.length) a
-    else {
-      val out = new Array[Int](count)
-      clearMarks()
-      var m = 0
-      i = 0
-      while (i < n) { if (mark(a(i))) { out(m) = a(i); m += 1 }; i += 1 }
-      out
-    }
+    while (i < n) { if (mark(a(i))) { a(count) = a(i); count += 1 }; i += 1 }
+    count
   }
 
   /** Distance from the nearest source (+∞ if unreached). */
@@ -270,25 +284,25 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 1) {
     * search leaves the proposals alone.
     *
     * The sources and the settle-set are ranges of one array, so a kernel
-    * passes slices of its terminal array without copying them. The
-    * settle-set is kept in the vertex mark set, so a search empties it.
+    * passes slices of its terminal buffer without copying them; the buffer
+    * may be longer than the terminals in it. The settle-set is kept in the
+    * vertex mark set, so a search empties it.
     *
     * @param g       the graph, at most as many vertices as this space's
     *                per-vertex arrays (as [[CompactGraph.workspace]] returns
     *                the space); the previous search's results are discarded
     * @param terms   the sources `terms(from until until)`, distinct and all
-    *                at distance 0, then the settle-set
-    *                `terms(until until terms.length)`: the search stops once
-    *                every reachable target has been settled (a full search
-    *                if that range is empty). Early stopping is what keeps
-    *                Algorithm 1 fast — terminals of one summary live within
-    *                a few hops.
+    *                at distance 0, then the settle-set `terms(until until end)`:
+    *                the search stops once every reachable target has been
+    *                settled (a full search if that range is empty). Early
+    *                stopping is what keeps Algorithm 1 fast — terminals of
+    *                one summary live within a few hops.
     * @param cost    arc → cost of its edge, or one cost that every arc has,
     *                as [[fillCosts]] returns it; every cost must be ≥ 0 (the
     *                kernels' are > 0), which the fill checks
     * @param maxDist vertices farther than this are never reached
     */
-  def search(g: CompactGraph, terms: Array[Int], from: Int, until: Int, cost: Array[Double],
+  def search(g: CompactGraph, terms: Array[Int], from: Int, until: Int, end: Int, cost: Array[Double],
              maxDist: Double): Unit = {
     clearMarks()
     val perArc = if (cost.length == 1) 0 else -1 // index mask: a lone cost is every arc's
@@ -311,7 +325,7 @@ final class SearchSpace private[graph] (n: Int, startEpoch: Int = 1) {
     }
     var remaining = 0
     var t = until
-    while (t < terms.length) {
+    while (t < end) {
       if (mark(terms(t))) remaining += 1
       t += 1
     }

@@ -16,12 +16,17 @@ import repro.graph.CompactGraph
   */
 final case class KGraph(nodes: DataFrame, edges: DataFrame) {
 
-  /** Node count of each type: one Spark job each, over that type's rows
-    * only (the filter prunes the other types' branches of `nodes`).
+  /** Node count of each type, over that type's rows only (the filter
+    * prunes the other types' branches of `nodes`). The rows are counted
+    * per partition on the executors and summed on the driver, so the user
+    * count is one Spark job of one stage with no shuffle; `Dataset.count`
+    * would plan a partial count, a shuffle to one partition and a final
+    * count. The item and external rows come from distincts, which shuffle
+    * either way.
     */
-  lazy val nUsers: Int    = ofType("user").count().toInt
-  lazy val nItems: Int    = ofType("item").count().toInt
-  lazy val nExternal: Int = ofType("external").count().toInt
+  lazy val nUsers: Int    = count("user")
+  lazy val nItems: Int    = count("item")
+  lazy val nExternal: Int = count("external")
 
   def numNodes: Long = nUsers.toLong + nItems + nExternal
 
@@ -31,4 +36,6 @@ final case class KGraph(nodes: DataFrame, edges: DataFrame) {
   lazy val graph: CompactGraph = CompactGraph.fromEdges(edges)
 
   private[repro] def ofType(ntype: String): DataFrame = nodes.filter(col("ntype") === ntype)
+
+  private def count(ntype: String): Int = Math.toIntExact(ofType(ntype).queryExecution.toRdd.count())
 }

@@ -116,7 +116,6 @@ class GoldenSummarySpec extends SparkSpec {
     val stCost: EdgeCost = (e: Int) => (wMax - g.edgeWeight(e)) + Summarizer.Delta
     val pcstCost = EdgeCost.uniform(0.25)
     val prizes = Array.fill(terms.length)(1.0)
-    val bean = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
     def allocated(run: => TreeResult): Long = {
       val before = bean.getCurrentThreadAllocatedBytes
       run
@@ -132,25 +131,34 @@ class GoldenSummarySpec extends SparkSpec {
     assert(pcst < bound, s"PCST allocated $pcst bytes, bound $bound (|T| = $n)")
   }
 
+  private lazy val bean = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+
+  /** The least bytes allocated by 10 calls of `Summarizer.summarize` after
+    * two warm-up calls, and the summary's edge count.
+    */
+  private def leastWarm(kg: KgIndex, scenario: Scenario, method: Summarizer.Method): (Long, Int) = {
+    var least = Long.MaxValue
+    var edges = 0
+    var call = 0
+    while (call < 12) {
+      val before = bean.getCurrentThreadAllocatedBytes
+      val r = Summarizer.summarize(kg, scenario, method, 10)
+      val bytes = bean.getCurrentThreadAllocatedBytes - before
+      if (call >= 2) least = math.min(least, bytes)
+      edges = r.subgraph.edges.length
+      call += 1
+    }
+    (least, edges)
+  }
+
   test("a warm Summarizer.summarize allocates its result and O(|E_S| + |T|) more") {
     val group = tasks.collectFirst { case (s: UserGroup, _, _) if s.groupId == "g8" => s }.get
-    val bean = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
     for (method <- Seq(Summarizer.ST(1.0), Summarizer.PCST())) {
       // The result is about 50 bytes per summary edge (its SummaryEdge and
-      // its slots in the edge and edge-id arrays) plus a few small objects;
-      // the terminal index array, and PCST's prizes and sorted terminals,
-      // add 4 to 16 bytes per terminal.
-      var least = Long.MaxValue
-      var edges = 0
-      var call = 0
-      while (call < 12) {
-        val before = bean.getCurrentThreadAllocatedBytes
-        val r = Summarizer.summarize(idx, group, method, 10)
-        val bytes = bean.getCurrentThreadAllocatedBytes - before
-        if (call >= 2) least = math.min(least, bytes) // two warm-up calls
-        edges = r.subgraph.edges.length
-        call += 1
-      }
+      // its slot in the edge array) plus a few small objects. The budget's
+      // per-terminal term is slack: the test below holds the same summaries
+      // to a budget without it.
+      val (least, edges) = leastWarm(idx, group, method)
       val terminals = group.terminals.length
       val budget = 256L + 64L * edges + 32L * terminals
       info(s"${method.label}: |E_S| = $edges, |T| = $terminals, least of 10 calls $least B, budget $budget B")
@@ -169,6 +177,30 @@ class GoldenSummarySpec extends SparkSpec {
       }
       info(s"${method.label}: first call after the larger graph ${afterSwitch.mkString(", ")} B")
       assert(afterSwitch.forall(_ <= budget), s"${method.label} allocated $afterSwitch bytes, budget $budget")
+    }
+  }
+
+  test("a warm Summarizer.summarize allocates only its result, with no per-terminal term") {
+    // The terminal indices, PCST's prize and sorted terminals and the
+    // kernel's edge set stay in the thread's workspace: what a warm summary
+    // allocates is its Result, Subgraph, SummaryEdge array and edges, and
+    // for ST the one iterator over its paths: 44 bytes per edge (a 40-byte
+    // SummaryEdge and its array slot) and about 150 more. g8 reads ST 4,104 B
+    // (|E_S| = 89) and PCST 3,008 B (|E_S| = 66) at |T| = 61.
+    val g8 = tasks.collectFirst { case (s: UserGroup, _, _) if s.groupId == "g8" => s }.get
+    val userCentric = tasks.collectFirst { case (s: UserCentric, _, 10) => s }.get
+    val (larger, largerScenarios) = others.head
+    val largerGroup = largerScenarios.last._1
+    assert(largerGroup.isInstanceOf[UserGroup])
+    val cases = Seq(("g8", idx, g8), ("the larger graph's g8", larger, largerGroup),
+      ("user-centric k=10", idx, userCentric))
+    for ((name, kg, scenario) <- cases; method <- Seq(Summarizer.ST(1.0), Summarizer.PCST())) {
+      val (least, edges) = leastWarm(kg, scenario, method)
+      val budget = 256L + 48L * edges
+      info(s"$name ${method.label}: |E_S| = $edges, |T| = ${scenario.terminals.length}, " +
+        s"least of 10 calls $least B, budget $budget B")
+      assert(edges > 0, s"$name ${method.label}: empty summary")
+      assert(least <= budget, s"$name ${method.label} allocated $least bytes, budget $budget")
     }
   }
 

@@ -1,13 +1,15 @@
 package repro.core
 
 import java.lang.management.ManagementFactory
-import repro.SparkSpec
+import org.scalacheck.{Gen, Prop}
+import repro.{PropSupport, SparkSpec}
 import repro.core.SubgraphChecks._
 import repro.eval.TableIExample
+import repro.graph.{CompactGraph, EdgeCost, TestGraphs}
 import repro.kg.{KGBuilder, KgIndex, MLSynth, NodeType}
-import repro.rec.Pgpr
+import repro.rec.{ExplanationPath, Pgpr}
 
-class SummarizerSpec extends SparkSpec {
+class SummarizerSpec extends SparkSpec with PropSupport {
 
   private lazy val exampleIdx = KgIndex.fromKGraph(TableIExample.knowledgeGraph(spark))
   private lazy val scenario = UserCentric(TableIExample.User1, TableIExample.paths)
@@ -92,6 +94,56 @@ class SummarizerSpec extends SparkSpec {
       val s = Summarizer.summarize(exampleIdx, sc, m).subgraph
       assert(s.edges.isEmpty && s.allEdges.isEmpty && s.nodes.isEmpty, s"${sc.id} ${m.label}")
     }
+  }
+
+  test("property: Summarizer's ST and PCST give the public entries' edges, in kernel order") {
+    // Node ids 0 until n + 3 on a graph of n vertices: some terminals are
+    // not in G. A user-centric scenario repeats its user when one of its
+    // paths ends at the user's id; an empty group has no terminal at all.
+    val input = for {
+      triples <- TestGraphs.randomGraphGen(12)
+      size <- Gen.oneOf(0, 1, 2, 3, 8, 16)
+      lambda <- Gen.oneOf(0.01, 1.0, 100.0)
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield (triples, size, lambda, seed)
+    checkProp(Prop.forAll(input) { case (triples, size, lambda, seed) =>
+      val g = CompactGraph.fromTriples(triples)
+      val kg = new KgIndex(g)
+      val rnd = new scala.util.Random(seed)
+      def anyId(): Long = rnd.nextInt(g.numVertices + 3).toLong
+      val user = anyId()
+      val sc: Scenario =
+        if (size == 0) UserGroup("empty", Seq.empty, Seq.empty)
+        else UserCentric(user, Seq.tabulate(size - 1) { r =>
+          val item = if (rnd.nextInt(4) == 0) user else anyId()
+          ExplanationPath(user, item, r, Vector(user, anyId(), item))
+        })
+      val terms = sc.terminals.map(g.find).filter(_ >= 0)
+      // ST's Eq. (1) costs as an oracle, from the overlay adapter.
+      val overlay = WeightAdjust.overlay(kg, sc.paths, sc.anchors, lambda)
+      var wMax = kg.maxBaseWeight
+      overlay.forEach((_, w) => if (w > wMax) wMax = w)
+      val wm = wMax
+      val stCost: EdgeCost = (e: Int) => {
+        val o = overlay.get(e)
+        (wm - (if (o == null) g.edgeWeight(e) else o.doubleValue())) + Summarizer.Delta
+      }
+      val expected = Seq(
+        Summarizer.ST(lambda) -> SteinerTree.summarize(g, stCost, terms),
+        Summarizer.PCST() -> Pcst.summarize(g, EdgeCost.uniform(0.25), terms, Array.fill(terms.length)(1.0)))
+      val covered = terms.distinct
+      expected.forall { case (method, tree) =>
+        val s = Summarizer.summarize(kg, sc, method).subgraph
+        val edges = tree.edgeIds.map(e => (g.ids(g.edgeSrc(e)), g.ids(g.edgeDst(e))))
+        val touched = tree.edgeIds.flatMap(e => Seq(g.edgeSrc(e), g.edgeDst(e))).toSet
+        val isolated = method match {
+          case _: Summarizer.ST => covered.filterNot(touched).map(g.ids(_))
+          case _ => Array.emptyLongArray
+        }
+        s.edges.map(e => (e.src, e.dst)).sameElements(edges) &&
+          s.pathNodeOccurrences == tree.pathNodeOccurrences && s.isolated.sameElements(isolated)
+      }
+    }, minTests = 200)
   }
 
   test("ST rejects a NaN lambda, naming the field") {

@@ -17,7 +17,7 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     */
   private def shortestPath(g: CompactGraph, source: Int, v: Int): Array[Int] = {
     val ws = g.workspace
-    ws.search(g, Array(source), 0, 1, ws.fillCosts(g, byWeight(g)), Double.PositiveInfinity)
+    ws.search(g, Array(source), 0, 1, 1, ws.fillCosts(g, byWeight(g)), Double.PositiveInfinity)
     val path = new Array[Int](ws.pathLength(g, v))
     ws.writePath(g, v, path, path.length)
     path
@@ -129,7 +129,7 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
       val costs = ws.fillCosts(g, cost) // filled once, read by every search below
       (0 until 2 * g.numEdges).forall(a => costs(a) == cost(g.arcEdge(a))) &&
         (0 until g.numVertices).forall { s =>
-          ws.search(g, Array(s), 0, 1, costs, Double.PositiveInfinity)
+          ws.search(g, Array(s), 0, 1, 1, costs, Double.PositiveInfinity)
           (0 until g.numVertices).forall { v =>
             val (a, b) = (ws.dist(v), fw(s)(v))
             (a.isInfinity && b.isInfinity) || math.abs(a - b) < 1e-9
@@ -145,8 +145,8 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
       val lone = one.fillCosts(g, EdgeCost.uniform(0.25))
       val full = perArc.fillCosts(g, (_: Int) => 0.25)
       val s = source % g.numVertices
-      one.search(g, Array(s), 0, 1, lone, 1.0)
-      perArc.search(g, Array(s), 0, 1, full, 1.0)
+      one.search(g, Array(s), 0, 1, 1, lone, 1.0)
+      perArc.search(g, Array(s), 0, 1, 1, full, 1.0)
       lone.length == 1 && full.length == 2 * g.numEdges && (0 until g.numVertices).forall { v =>
         one.dist(v) == perArc.dist(v) && one.predArc(v) == perArc.predArc(v) && one.settled(v) == perArc.settled(v)
       }
@@ -165,7 +165,7 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     }
     // Zero and +∞ are legal: a free edge, and one no search crosses.
     val costs = ws.fillCosts(g, (e: Int) => if (e == 4) Double.PositiveInfinity else 0.0)
-    ws.search(g, Array(g.indexOf(0)), 0, 1, costs, Double.PositiveInfinity)
+    ws.search(g, Array(g.indexOf(0)), 0, 1, 1, costs, Double.PositiveInfinity)
     assert((0 until g.numVertices).forall(v => ws.dist(v) == 0.0))
   }
 
@@ -270,10 +270,12 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     extra <- Gen.frequency(2 -> Gen.const(0), 1 -> Gen.choose(1, 3))
   } yield (xs.toArray ++ Array.fill(extra)(13), xs.length)
 
-  private def dedupes(ws: SearchSpace, a: Array[Int], n: Int): Boolean = {
-    val out = ws.distinctVertices(a, n)
-    val expected = a.take(n).distinct
-    out.toSeq == expected.toSeq && (out eq a) == (n == a.length && expected.length == n) &&
+  private def dedupes(ws: SearchSpace, input: Array[Int], n: Int): Boolean = {
+    val a = input.clone()
+    val count = ws.distinctVertices(a, n)
+    val expected = input.take(n).distinct
+    count == expected.length && a.take(count).toSeq == expected.toSeq &&
+      a.drop(count).sameElements(input.drop(count)) &&
       expected.forall(ws.marked) && (0 until 14).count(ws.marked) == expected.length
   }
 
@@ -299,8 +301,8 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
       inputs.zipWithIndex.foreach { case ((a, n), i) =>
         val terms = Array(i % 14, (i + 5) % 14) ++ a.take(n).filter(v => v != i % 14 && v != (i + 5) % 14)
         val fresh = new SearchSpace(14)
-        space.search(g, terms, 0, 1, space.fillCosts(g, cost), Double.PositiveInfinity)
-        fresh.search(g, terms, 0, 1, fresh.fillCosts(g, cost), Double.PositiveInfinity)
+        space.search(g, terms, 0, 1, terms.length, space.fillCosts(g, cost), Double.PositiveInfinity)
+        fresh.search(g, terms, 0, 1, terms.length, fresh.fillCosts(g, cost), Double.PositiveInfinity)
         assert((0 until 14).forall(v => space.settled(v) == fresh.settled(v) && space.dist(v) == fresh.dist(v)),
           s"search $i from epoch Int.MaxValue - $back")
         assert(dedupes(space, a, n), s"dedupe $i from epoch Int.MaxValue - $back")
@@ -381,19 +383,19 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
         val maxDist = if (rnd.nextBoolean()) Double.PositiveInfinity else 6 * rnd.nextDouble()
         val ws = new SearchSpace(g.numVertices)
         val arcCosts = ws.fillCosts(g, cost)
-        ws.search(g, sources, 0, n, arcCosts, maxDist)
+        ws.search(g, sources, 0, n, n, arcCosts, maxDist)
         val recorded = TestGraphs.proposalsOf(g, ws, n, arcCosts)
         val reference = TestGraphs.scanProposals(g, ws, cost)
         // A single-source search leaves them alone.
         val triangle = ws.proposals.take(n * (n - 1) / 2)
-        ws.search(g, sources, 0, 1, arcCosts, maxDist)
+        ws.search(g, sources, 0, 1, n, arcCosts, maxDist)
         // The first multi-source search sizes the triangle for every n with
         // n(n−1)/2 ≤ |E|: the largest such n reuses it.
         val fresh = new SearchSpace(g.numVertices)
-        fresh.search(g, sources, 0, 2, arcCosts, maxDist)
+        fresh.search(g, sources, 0, 2, n, arcCosts, maxDist)
         val first = fresh.proposals
         val largest = (2 to g.numVertices).takeWhile(k => k * (k - 1) / 2 <= g.numEdges).last
-        fresh.search(g, (0 until g.numVertices).toArray, 0, largest, arcCosts, maxDist)
+        fresh.search(g, (0 until g.numVertices).toArray, 0, largest, g.numVertices, arcCosts, maxDist)
         recorded == reference && ws.proposals.take(n * (n - 1) / 2).sameElements(triangle) &&
           (fresh.proposals eq first)
     }, minTests = 200)
@@ -407,7 +409,7 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     val g = CompactGraph.fromTriples(Seq((2L, 3L, 0.2), (0L, 2L, 0.1), (1L, 3L, 0.3), (0L, 1L, 0.6)))
     val ws = new SearchSpace(g.numVertices)
     val costs = ws.fillCosts(g, byWeight(g))
-    ws.search(g, Array(0, 1), 0, 2, costs, Double.PositiveInfinity)
+    ws.search(g, Array(0, 1), 0, 2, 2, costs, Double.PositiveInfinity)
     assert(TestGraphs.proposalsOf(g, ws, 2, costs) == Map(1L -> ((0.6, 3))))
     assert(TestGraphs.scanProposals(g, ws, byWeight(g)) == Map(1L -> ((0.6, 3))))
   }
@@ -433,10 +435,12 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
       val maxDist = if (rnd.nextBoolean()) Double.PositiveInfinity else 0.5 + 2 * rnd.nextDouble()
       val fresh = new SearchSpace(g.numVertices)
       val terms = sources ++ targets
+      // `ws` reads its settle-set from a longer buffer: the entries past its end are no targets.
+      val buffer = terms ++ Array.fill(rnd.nextInt(3))(rnd.nextInt(g.numVertices))
       val stale = Array.fill(rnd.nextInt(4))(rnd.nextInt(g.numVertices))
       ws.distinctVertices(stale, stale.length)
-      ws.search(g, terms, 0, sources.length, ws.fillCosts(g, cost), maxDist)
-      fresh.search(g, terms, 0, sources.length, fresh.fillCosts(g, cost), maxDist)
+      ws.search(g, buffer, 0, sources.length, terms.length, ws.fillCosts(g, cost), maxDist)
+      fresh.search(g, terms, 0, sources.length, terms.length, fresh.fillCosts(g, cost), maxDist)
       (0 until g.numVertices).forall { v =>
         ws.dist(v) == fresh.dist(v) && ws.predArc(v) == fresh.predArc(v) &&
           ws.owner(v) == fresh.owner(v) && ws.settled(v) == fresh.settled(v)
@@ -486,7 +490,7 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
     val fresh = new SearchSpace(0)
     def search(g: CompactGraph, sources: Int): Unit =
       fresh.fitVertices(g.numVertices)
-        .search(g, (0 until sources).toArray, 0, sources, fresh.fillCosts(g, EdgeCost.uniform(1.0)),
+        .search(g, (0 until sources).toArray, 0, sources, sources, fresh.fillCosts(g, EdgeCost.uniform(1.0)),
           Double.PositiveInfinity)
     search(a, 2)
     assert(fresh.proposals.length == a.numEdges)
@@ -532,7 +536,7 @@ class CompactGraphSpec extends AnyFunSuite with PropSupport {
   /** Distances of a unit-cost search from `source`, as the graph statistics run it. */
   private def hops(g: CompactGraph, source: Int): Array[Double] = {
     val ws = g.workspace
-    ws.search(g, Array(source), 0, 1, ws.fillCosts(g, EdgeCost.uniform(1.0)), Double.PositiveInfinity)
+    ws.search(g, Array(source), 0, 1, 1, ws.fillCosts(g, EdgeCost.uniform(1.0)), Double.PositiveInfinity)
     Array.tabulate(g.numVertices)(ws.dist)
   }
 

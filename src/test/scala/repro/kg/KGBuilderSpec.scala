@@ -49,6 +49,15 @@ class KGBuilderSpec extends SparkSpec {
     assert(aggregates("item") > 0 && aggregates("external") > 0)
   }
 
+  test("the user count is one Spark job and writes no shuffle bytes") {
+    val kg = KGBuilder.build(spark, MLSynth.ml1m(spark, scale = 0.05))
+    val (n, activity) = SparkActivity.during(spark.sparkContext)(kg.nUsers)
+    assert(activity == SparkActivity.Counts(jobs = 1, shuffleBytes = 0L), activity)
+    val (reference, datasetCount) = SparkActivity.during(spark.sparkContext)(kg.ofType("user").count())
+    info(s"nUsers = $n: $activity; Dataset.count: $datasetCount")
+    assert(n.toLong == reference)
+  }
+
   test("edge construction: one edge per table row, typed") {
     val kg = KGBuilder.build(spark, tinyTables)
     val byType = kg.edges.groupBy("etype").count().collect()

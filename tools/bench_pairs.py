@@ -12,7 +12,8 @@ shared host lands on both sides of a pair. The parent is checked out into a
 temporary `git worktree`, removed at the end (or taken from `--parent-dir`).
 Prints, per workload and metric, the median and quartiles of each side,
 the relative change of the medians, in how many pairs the change was
-better and a verdict (see `verdict`), for the gated metrics of
+better, a verdict (see `verdict`) and the seeds of the pairs in which the
+change ran worse (see `worse_seeds`), for the gated metrics of
 BENCHMARK.json, with their `bound` and `better`, plus `st_ms_p50`,
 `pcst_ms_p50`, `alloc_mb_per_summary` and `summaries_per_s`, which have no
 bound (see `better`). A workload that BENCHMARK.json declares is compared on
@@ -63,6 +64,26 @@ def wins(parent, change, better="lower"):
     """
     sign = 1 if better == "lower" else -1
     return sum(sign * (c - x) < 0 for x, c in zip(parent, change))
+
+
+def worse_seeds(pair_seeds, parent, change, better="lower"):
+    """The seeds of the pairs in which the change ran worse than its parent.
+
+    `pair_seeds[i]` is the seed of pair i; a tie is not worse. A spike on
+    one side shows here by seed, such as one run whose scratch buffers grew
+    in a timed call.
+
+    >>> worse_seeds([1, 2, 3], [3.0, 3.0, 3.0], [2.0, 3.0, 4.0])
+    [3]
+    >>> worse_seeds([1, 2, 3], [3.0, 3.0, 3.0], [2.0, 3.0, 4.0], better="higher")
+    [1]
+    >>> worse_seeds([4, 5, 6], [0.0074, 0.0074, 0.0075], [0.0050, 0.0199, 0.0050])
+    [5]
+    >>> worse_seeds([], [], [])
+    []
+    """
+    sign = 1 if better == "lower" else -1
+    return [s for s, x, c in zip(pair_seeds, parent, change) if sign * (c - x) > 0]
 
 
 def verdict(parent, change, bound=None, better="lower"):
@@ -231,6 +252,7 @@ def main():
                        stdout=subprocess.DEVNULL)
         parent = worktree
     values = {(w, side, m): [] for w in workloads for side in ("parent", "change") for m in names}
+    pair_seeds = {(w, m): [] for w in workloads for m in names}
     bad = []
     sides = [("parent", parent), ("change", root)]
     try:
@@ -249,13 +271,14 @@ def main():
                     if all(m in got[side] for side in got):
                         for side in got:
                             values[(w, side, m)].append(got[side][m])
+                        pair_seeds[(w, m)].append(seed)
     finally:
         if worktree is not None:
             subprocess.run(["git", "worktree", "remove", "--force", worktree], cwd=root)
 
     print()
     print(f"{'workload':<12} {'metric':<20} {'parent median [q1, q3]':<40} "
-          f"{'change median [q1, q3]':<40} {'change':>7}  better  verdict")
+          f"{'change median [q1, q3]':<40} {'change':>7}  better  {'verdict':<10}  worse at seeds")
     verdicts = {}
     for w in workloads:
         for m in names:
@@ -268,8 +291,10 @@ def main():
             pq1, pm, pq3 = quartiles(parent_values)
             cq1, cm, cq3 = quartiles(change_values)
             rel = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
+            worse = ",".join(map(str, worse_seeds(pair_seeds[(w, m)], parent_values, change_values, direction)))
             print(f"{w:<12} {m:<20} {f'{pm:.6g} [{pq1:.6g}, {pq3:.6g}]':<40} "
-                  f"{f'{cm:.6g} [{cq1:.6g}, {cq3:.6g}]':<40} {rel:>7}  {f'{n_better}/{len(parent_values)}':<6}  {v}")
+                  f"{f'{cm:.6g} [{cq1:.6g}, {cq3:.6g}]':<40} {rel:>7}  {f'{n_better}/{len(parent_values)}':<6}  "
+                  f"{v:<10}  {worse or '-'}")
             verdicts[f"{w} {m}"] = v
     refused = refusals(verdicts)
     if bad:
